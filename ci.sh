@@ -45,6 +45,11 @@ if [[ "${RUN_SOAK:-1}" == "1" ]]; then
     echo "==> fault-injection soak (ignored test, bounded)"
     cargo test -q --test soak -- --ignored
 
+    echo "==> race-engine reference sweep (3000 seeds + >4096-task programs, 60s budget)"
+    # Compile outside the wall-clock budget; only the sweep itself is bounded.
+    cargo test -q --release --test oracle_race --no-run
+    timeout 60 cargo test -q --release --test oracle_race -- --ignored
+
     echo "==> network-chaos soak (all DRACC cases, fixed seeds, 60s budget)"
     # Compile outside the wall-clock budget; only the soak itself is bounded.
     cargo test -q --release -p arbalest-server --test chaos_soak --no-run

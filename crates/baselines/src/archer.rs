@@ -53,12 +53,12 @@ impl Tool for Archer {
         if ev.atomic {
             return; // TSan treats atomics as synchronisation, not data accesses
         }
-        let race = if ev.is_write {
+        let checked = if ev.is_write {
             self.engine.check_write(ev.task.0, ev.addr, ev.size as u8)
         } else {
             self.engine.check_read(ev.task.0, ev.addr, ev.size as u8)
         };
-        if let Some(r) = race {
+        if let Some(r) = checked.race {
             self.sink.push(
                 ReportKind::DataRace,
                 format!(

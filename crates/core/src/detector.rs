@@ -18,7 +18,7 @@ use arbalest_offload::events::{
 };
 use arbalest_offload::report::{hints, PrevAccess, ProvenanceStep, Report, ReportKind};
 use arbalest_offload::sections;
-use arbalest_race::RaceEngine;
+use arbalest_race::{Epoch, RaceEngine};
 use arbalest_shadow::{IntervalTree, Layout, ShadowMemory};
 use arbalest_sync::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -653,19 +653,17 @@ impl Arbalest {
         Some((lo, hi, info))
     }
 
-    /// Apply a VSM operation to one granule's shadow word, stamping the
-    /// Table II epoch fields; returns the violation and the *previous*
-    /// word's recorded access for the report.
+    /// Apply an access's VSM operation to its granule's shadow word,
+    /// stamping the Table II epoch fields with `epoch`, the one the race
+    /// check recorded; returns the violation and the *previous* word's
+    /// recorded access for the report.
     fn vsm_step(
         &self,
         key: u64,
         op: VsmOp,
-        ev: Option<&AccessEvent>,
+        ev: &AccessEvent,
+        epoch: Epoch,
     ) -> (Option<vsm::Violation>, PrevAccess) {
-        let epoch = match (&self.race, ev) {
-            (Some(r), Some(ev)) => r.epoch_of(ev.task.0),
-            _ => arbalest_race::Epoch::ZERO,
-        };
         let mut violation = None;
         // The closure may re-run on CAS contention, so per-edge counting
         // happens *after* commit, from the old word that actually won.
@@ -673,28 +671,24 @@ impl Arbalest {
             let state = self.layout.decode(w);
             let (mut next, v) = vsm::apply(state, op);
             violation = v;
-            if let Some(ev) = ev {
-                next.tid = epoch.tid;
-                next.clock = epoch.clock;
-                next.is_write = ev.is_write;
-                next.access_size = ev.size as u8;
-                next.addr_offset = (ev.addr & 7) as u8;
-            }
+            next.tid = epoch.tid;
+            next.clock = epoch.clock;
+            next.is_write = ev.is_write;
+            next.access_size = ev.size as u8;
+            next.addr_offset = (ev.addr & 7) as u8;
             self.layout.encode(next)
         });
         let old_state = self.layout.decode(old);
         self.metrics.note_transition(vsm::named(old_state), op, retries);
         if self.cfg.provenance {
-            if let Some(ev) = ev {
-                self.prov_note(
-                    ev.buffer,
-                    op,
-                    vsm::named(old_state),
-                    vsm::named(self.layout.decode(new)),
-                    Some(ev.loc),
-                    epoch.tid,
-                );
-            }
+            self.prov_note(
+                ev.buffer,
+                op,
+                vsm::named(old_state),
+                vsm::named(self.layout.decode(new)),
+                Some(ev.loc),
+                epoch.tid,
+            );
         }
         let prev =
             PrevAccess { tid: old_state.tid, clock: old_state.clock, is_write: old_state.is_write };
@@ -735,17 +729,20 @@ impl Arbalest {
         first_edge
     }
 
-    fn race_access(&self, ev: &AccessEvent) {
+    /// Race-check an access; returns the epoch to stamp in its shadow
+    /// word (zero with race checking off).
+    fn race_access(&self, ev: &AccessEvent) -> Epoch {
+        let Some(engine) = &self.race else { return Epoch::ZERO };
         if ev.atomic {
-            return; // `omp atomic` accesses are synchronised by definition
+            // `omp atomic` accesses are synchronised by definition.
+            return engine.epoch_of(ev.task.0);
         }
-        let Some(engine) = &self.race else { return };
-        let info = if ev.is_write {
+        let checked = if ev.is_write {
             engine.check_write(ev.task.0, ev.addr, ev.size as u8)
         } else {
             engine.check_read(ev.task.0, ev.addr, ev.size as u8)
         };
-        if let Some(r) = info {
+        if let Some(r) = checked.race {
             self.report(
                 ReportKind::DataRace,
                 format!(
@@ -765,6 +762,7 @@ impl Arbalest {
                 Vec::new(),
             );
         }
+        checked.epoch
     }
 }
 
@@ -920,7 +918,7 @@ impl Tool for Arbalest {
 
     fn on_access(&self, ev: &AccessEvent) {
         self.stats.accesses.inc();
-        self.race_access(ev);
+        let epoch = self.race_access(ev);
 
         let (key, loc) = if ev.device.is_host() {
             (ev.addr, StorageLoc::Host)
@@ -987,7 +985,7 @@ impl Tool for Arbalest {
         };
 
         let op = if ev.is_write { VsmOp::Write(loc) } else { VsmOp::Read(loc) };
-        let (violation, prev) = self.vsm_step(key, op, Some(ev));
+        let (violation, prev) = self.vsm_step(key, op, ev, epoch);
         // In May mode the shadow was evicted: decoded states are no longer
         // trustworthy, so a Must claim derived from them would be a false
         // positive. Transitions still commit (re-warming the shadow keeps

@@ -9,28 +9,48 @@
 //! default runs are self-identical (replay-stable), and a provenance-on
 //! run changes *nothing* about the rendered output — the chain rides
 //! alongside the report, never inside it.
+//!
+//! Each check runs on two runtimes. On the default one (a team of four,
+//! concurrent `nowait` regions) the thread that reaches a bug first names
+//! the report's address and prior access (`T<n>`), so that leg compares
+//! what a report says whatever the schedule: its class, buffer, device and
+//! site. With one team thread and serialized `nowait` regions the schedule
+//! is fixed, and whole reports are compared.
 
 use arbalest_core::{Arbalest, ArbalestConfig};
+use arbalest_offload::events::SrcLoc;
 use arbalest_offload::prelude::*;
 use std::sync::Arc;
 
-fn sweep(cfg: ArbalestConfig) -> Vec<Vec<Report>> {
+fn serial() -> Config {
+    Config::default().team_size(1).serialize(true)
+}
+
+fn sweep(rt_cfg: fn() -> Config, cfg: ArbalestConfig) -> Vec<Vec<Report>> {
     arbalest_dracc::all()
         .iter()
         .map(|b| {
-            let rt = Runtime::with_tool(Config::default(), Arc::new(Arbalest::new(cfg.clone())));
+            let rt = Runtime::with_tool(rt_cfg(), Arc::new(Arbalest::new(cfg.clone())));
             b.run(&rt);
             rt.reports()
         })
         .collect()
 }
 
-#[test]
-fn default_config_reports_are_replay_stable_and_provenance_free() {
-    let first = sweep(ArbalestConfig::default());
-    let second = sweep(ArbalestConfig::default());
-    assert_eq!(first, second, "default DRACC sweep must be deterministic");
-    for (bench, reports) in arbalest_dracc::all().iter().zip(&first) {
+type Said = (ReportKind, Option<String>, DeviceId, Option<SrcLoc>);
+
+/// What each report says whatever the schedule.
+fn schedule_free(sweep: &[Vec<Report>]) -> Vec<Vec<Said>> {
+    sweep
+        .iter()
+        .map(|reports| {
+            reports.iter().map(|r| (r.kind, r.buffer.clone(), r.device, r.loc)).collect()
+        })
+        .collect()
+}
+
+fn assert_provenance_free(sweep: &[Vec<Report>]) {
+    for (bench, reports) in arbalest_dracc::all().iter().zip(sweep) {
         for r in reports {
             assert!(
                 r.provenance.is_empty(),
@@ -42,18 +62,34 @@ fn default_config_reports_are_replay_stable_and_provenance_free() {
 }
 
 #[test]
+fn default_config_reports_are_replay_stable_and_provenance_free() {
+    let first = sweep(Config::default, ArbalestConfig::default());
+    let second = sweep(Config::default, ArbalestConfig::default());
+    assert_eq!(
+        schedule_free(&first),
+        schedule_free(&second),
+        "default DRACC sweep must say the same on every schedule"
+    );
+    assert_provenance_free(&first);
+    assert_provenance_free(&second);
+
+    let first = sweep(serial, ArbalestConfig::default());
+    let second = sweep(serial, ArbalestConfig::default());
+    assert_eq!(first, second, "serialized DRACC sweep must be deterministic");
+    assert_provenance_free(&first);
+}
+
+#[test]
 fn provenance_capture_never_changes_rendered_output() {
-    let off = sweep(ArbalestConfig::default());
-    let on = sweep(ArbalestConfig { provenance: true, ..ArbalestConfig::default() });
-    for ((bench, off_reports), on_reports) in arbalest_dracc::all().iter().zip(&off).zip(&on) {
-        let off_text: String = off_reports.iter().map(|r| r.render()).collect();
-        let on_text: String = on_reports.iter().map(|r| r.render()).collect();
-        assert_eq!(
-            off_text,
-            on_text,
-            "{}: provenance capture altered the rendered report",
-            bench.dracc_id()
-        );
+    let off = sweep(Config::default, ArbalestConfig::default());
+    let on =
+        sweep(Config::default, ArbalestConfig { provenance: true, ..ArbalestConfig::default() });
+    assert_eq!(
+        schedule_free(&off),
+        schedule_free(&on),
+        "provenance capture altered what the reports say"
+    );
+    for (bench, on_reports) in arbalest_dracc::all().iter().zip(&on) {
         // Chains attach to the VSM-diagnosed classes (UUM/USD) — those
         // cases must actually carry one when capture is on, otherwise
         // `arbalest explain` has nothing to say.
@@ -64,5 +100,18 @@ fn provenance_capture_never_changes_rendered_output() {
                 bench.dracc_id()
             );
         }
+    }
+
+    let off = sweep(serial, ArbalestConfig::default());
+    let on = sweep(serial, ArbalestConfig { provenance: true, ..ArbalestConfig::default() });
+    for ((bench, off_reports), on_reports) in arbalest_dracc::all().iter().zip(&off).zip(&on) {
+        let off_text: String = off_reports.iter().map(|r| r.render()).collect();
+        let on_text: String = on_reports.iter().map(|r| r.render()).collect();
+        assert_eq!(
+            off_text,
+            on_text,
+            "{}: provenance capture altered the rendered report",
+            bench.dracc_id()
+        );
     }
 }

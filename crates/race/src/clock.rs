@@ -1,8 +1,8 @@
 //! Vector clocks and epochs (FastTrack's `tid@clock` pairs).
 
-/// Maximum number of thread slots — 12 bits, matching the shadow word's
-/// TID field (Table II).
-pub const MAX_TIDS: usize = 1 << 12;
+/// Number of thread slots the engine can hand out (`u16`). The shadow
+/// word's Table II TID field keeps the low 12 bits of a slot.
+pub const MAX_TIDS: usize = 1 << 16;
 
 /// A FastTrack epoch: one thread's scalar clock at an instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +38,8 @@ pub struct VectorClock {
 
 impl VectorClock {
     /// The empty (all-zero) clock.
-    pub fn new() -> Self {
-        VectorClock::default()
+    pub const fn new() -> Self {
+        VectorClock { slots: Vec::new() }
     }
 
     /// Component for `tid` (0 when never set).
@@ -55,6 +55,13 @@ impl VectorClock {
             self.slots.resize(idx + 1, 0);
         }
         self.slots[idx] = value;
+    }
+
+    /// Raise a component to at least `value`.
+    pub fn raise(&mut self, tid: u16, value: u64) {
+        if value > self.get(tid) {
+            self.set(tid, value);
+        }
     }
 
     /// Increment own component; returns the new value.

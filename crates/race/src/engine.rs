@@ -2,19 +2,35 @@
 //!
 //! Read/write checks follow Flanagan & Freund's FastTrack rules: each
 //! location keeps the last-write epoch and either a last-read epoch or —
-//! after concurrent reads — a read vector clock. Most checks and updates
-//! are O(1) epoch comparisons; only concurrent-read promotion pays O(T).
+//! after concurrent reads — one read epoch per reading slot. Most checks
+//! and updates are O(1) epoch comparisons; only reads and writes of a
+//! location read concurrently pay for the number of its readers.
 //!
-//! Tasks map to 12-bit thread slots (Table II's TID field). Slots are
-//! assigned monotonically; if more than 4096 tasks ever exist, slots wrap
-//! with a per-slot monotone clock floor — the same pragmatic compromise
-//! production TSan makes, trading a bounded risk of false negatives in
-//! extremely long runs for bounded shadow state.
+//! A task's happens-before state lives in its own cell: its slot, its own
+//! scalar clock and what it has observed of other slots. Only the task's
+//! own sync events (fork as parent, join as waiter, acquire, release, end)
+//! change the cell. A check read-locks the one task-table shard holding
+//! the cell, reads the epoch and clock in place and hands back the epoch
+//! the detector stamps; a range check does this once per transfer. No
+//! engine-wide lock and no clock copy sits on the access path.
+//!
+//! Slots are `u16`. A task's slot goes back to a pool once the task has
+//! ended and been joined, together with its final clock. A fork reuses a
+//! pooled slot only when the forking parent's clock already covers that
+//! final clock, and the child starts one past it. Every epoch the slot
+//! carried before is then ordered before anything that observes the new
+//! owner, so reuse can neither hide a race nor invent one, and no task
+//! ever lands on a live slot. Clock width follows the tasks alive at once
+//! rather than the tasks ever run. Past 4096 live tasks a fork takes a
+//! fresh slot above 4095; the detector masks the slot to 12 bits only
+//! where it stamps Table II's TID field, which reports alone read. When
+//! all 65536 slots are live, a fork registers no child: its events are
+//! those of an unknown task, checked against an empty clock and stamping
+//! the zero epoch.
 
 use crate::clock::{Epoch, VectorClock, MAX_TIDS};
-use arbalest_sync::Mutex;
+use arbalest_sync::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Byte range of an access within its granule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,13 +40,19 @@ struct ByteRange {
 }
 
 impl ByteRange {
+    const WORD: ByteRange = ByteRange { offset: 0, size: 8 };
+
     #[inline]
     fn overlaps(self, other: ByteRange) -> bool {
-        let a0 = self.offset;
-        let a1 = self.offset + self.size;
-        let b0 = other.offset;
-        let b1 = other.offset + other.size;
-        a0 < b1 && b0 < a1
+        let (a0, b0) = (u16::from(self.offset), u16::from(other.offset));
+        a0 < b0 + u16::from(other.size) && b0 < a0 + u16::from(self.size)
+    }
+
+    /// The bytes of the granule the range covers, one bit each.
+    #[inline]
+    fn mask(self) -> u8 {
+        let ones = (1u32 << self.size.min(8)) - 1;
+        (ones << self.offset.min(8)) as u8
     }
 }
 
@@ -45,10 +67,61 @@ pub struct RaceInfo {
     pub prev_was_write: bool,
 }
 
+impl RaceInfo {
+    fn of(e: Epoch, prev_was_write: bool) -> RaceInfo {
+        RaceInfo { prev_tid: e.tid, prev_clock: e.clock, prev_was_write }
+    }
+}
+
+/// Outcome of one access check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Checked {
+    /// The epoch the access was recorded with: what ARBALEST stamps in
+    /// the shadow word's TID/clock fields.
+    pub epoch: Epoch,
+    /// The racing prior access, if any.
+    pub race: Option<RaceInfo>,
+}
+
+/// Concurrent reads of one granule: one entry per reading slot, sorted by
+/// slot, holding the epoch of the slot's latest read and the bytes it read
+/// at that epoch (bit `i` = byte `i` of the granule). The state grows with
+/// the number of readers, not with their slot numbers.
+#[derive(Debug, Clone, Default)]
+struct SharedReads(Vec<(Epoch, u8)>);
+
+impl SharedReads {
+    fn note(&mut self, e: Epoch, mask: u8) {
+        match self.0.binary_search_by_key(&e.tid, |(r, _)| r.tid) {
+            Ok(i) => {
+                let (r, m) = &mut self.0[i];
+                if e.clock > r.clock {
+                    (*r, *m) = (e, mask);
+                } else if e.clock == r.clock {
+                    *m |= mask;
+                }
+            }
+            Err(i) => self.0.insert(i, (e, mask)),
+        }
+    }
+
+    /// The first reader, by slot, that `cell` has not observed and whose
+    /// bytes overlap `mask`.
+    fn racing(&self, cell: &TaskCell, mask: u8) -> Option<Epoch> {
+        self.0.iter().find(|&&(e, m)| m & mask != 0 && !cell.covers(e)).map(|&(e, _)| e)
+    }
+
+    /// Heap bytes of the boxed state.
+    fn heap_bytes(&self) -> u64 {
+        (std::mem::size_of::<Self>() + self.0.capacity() * std::mem::size_of::<(Epoch, u8)>())
+            as u64
+    }
+}
+
 #[derive(Debug, Clone)]
 enum ReadState {
     Epoch(Epoch, ByteRange),
-    Shared(VectorClock),
+    Shared(Box<SharedReads>),
 }
 
 #[derive(Debug, Clone)]
@@ -62,31 +135,104 @@ impl LocState {
     fn new() -> Self {
         LocState {
             write: Epoch::ZERO,
-            write_range: ByteRange { offset: 0, size: 8 },
-            read: ReadState::Epoch(Epoch::ZERO, ByteRange { offset: 0, size: 8 }),
+            write_range: ByteRange::WORD,
+            read: ReadState::Epoch(Epoch::ZERO, ByteRange::WORD),
         }
     }
 }
 
-struct TaskState {
+/// One task's happens-before state.
+struct TaskCell {
     tid: u16,
+    /// The task's own scalar clock: its epoch is `tid@own`.
+    own: u64,
+    /// What the task has observed of other slots; `own` supersedes the
+    /// entry of its own slot.
     vc: VectorClock,
+    /// Ended: the clock is frozen.
     ended: bool,
+    /// Ended and joined: the slot is back in the pool.
+    released: bool,
+}
+
+impl TaskCell {
+    /// An unregistered task: empty clock, zero epoch.
+    const UNKNOWN: TaskCell = TaskCell::running(0, 0, VectorClock::new());
+
+    const fn running(tid: u16, own: u64, vc: VectorClock) -> TaskCell {
+        TaskCell { tid, own, vc, ended: false, released: false }
+    }
+
+    #[inline]
+    fn epoch(&self) -> Epoch {
+        Epoch { tid: self.tid, clock: self.own }
+    }
+
+    #[inline]
+    fn get(&self, tid: u16) -> u64 {
+        if tid == self.tid {
+            self.own
+        } else {
+            self.vc.get(tid)
+        }
+    }
+
+    /// `e ⪯` this task's clock.
+    #[inline]
+    fn covers(&self, e: Epoch) -> bool {
+        e.clock <= self.get(e.tid)
+    }
+
+    /// The whole clock, own slot included.
+    fn full(&self) -> VectorClock {
+        let mut vc = self.vc.clone();
+        vc.raise(self.tid, self.own);
+        vc
+    }
+}
+
+/// Slots handed out so far and the recycled ones.
+struct SlotPool {
+    /// Slots of ended-and-joined tasks with their last owner's final
+    /// clock, most recently freed last.
+    free: Vec<(u16, u64)>,
+    /// Fresh slots handed out: `0..fresh`.
+    fresh: u32,
+}
+
+impl SlotPool {
+    /// A slot for a child whose inherited clock is `vc`: the newest pooled
+    /// one whose final clock `vc` covers, else a fresh one; `None` when
+    /// every slot is live.
+    fn take(&mut self, vc: &VectorClock) -> Option<u16> {
+        if let Some(i) = self.free.iter().rposition(|&(slot, last)| vc.get(slot) >= last) {
+            return Some(self.free.remove(i).0);
+        }
+        let slot = u16::try_from(self.fresh).ok()?;
+        self.fresh += 1;
+        Some(slot)
+    }
 }
 
 const SHARDS: usize = 64;
+const TASK_SHARDS: usize = 16;
 
 /// One task's clock state in a [`RaceSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSnapshot {
     /// Task id.
     pub task: u32,
-    /// Assigned 12-bit thread slot.
+    /// Assigned thread slot.
     pub tid: u16,
-    /// Raw vector-clock slots ([`VectorClock::slot_values`]).
+    /// The task's own scalar clock.
+    pub own: u64,
+    /// Raw vector-clock slots of what the task observed of other slots
+    /// ([`VectorClock::slot_values`]).
     pub clock: Vec<u64>,
     /// Whether the task has ended.
     pub ended: bool,
+    /// Whether the task was joined after it ended, returning its slot.
+    pub released: bool,
 }
 
 /// Read side of one location in a [`RaceSnapshot`] (FastTrack's
@@ -104,8 +250,10 @@ pub enum ReadSnapshot {
         /// Byte size of the read.
         size: u8,
     },
-    /// Promoted concurrent-read vector clock (raw slots).
-    Shared(Vec<u64>),
+    /// Concurrent reads: one `(slot, clock, byte mask)` per reading slot,
+    /// sorted by slot: the slot's latest read and the bytes it read at
+    /// that clock (bit `i` = byte `i` of the granule).
+    Shared(Vec<(u16, u64, u8)>),
 }
 
 /// One location's FastTrack state in a [`RaceSnapshot`].
@@ -131,10 +279,10 @@ pub struct LocSnapshot {
 pub struct RaceSnapshot {
     /// Task clocks, sorted by task id.
     pub tasks: Vec<TaskSnapshot>,
-    /// Per-slot monotone clock floors (slot wrap-around support).
-    pub slot_floor: Vec<u64>,
-    /// Next raw slot number to allocate.
-    pub next_slot: u64,
+    /// Recycled slots with their last owner's final clock, in pool order.
+    pub free_slots: Vec<(u16, u64)>,
+    /// Fresh slots handed out so far.
+    pub fresh_slots: u32,
     /// Per-granule location states, sorted by granule address.
     pub locs: Vec<(u64, LocSnapshot)>,
     /// Lock release clocks, sorted by lock id.
@@ -143,10 +291,9 @@ pub struct RaceSnapshot {
 
 /// A happens-before race detection engine.
 pub struct RaceEngine {
-    tasks: Mutex<HashMap<u32, TaskState>>,
-    /// Per-slot monotone clock floors for slot wrap-around.
-    slot_floor: Mutex<Vec<u64>>,
-    next_slot: AtomicU64,
+    /// Task cells, sharded by task id.
+    tasks: Vec<RwLock<HashMap<u32, TaskCell>>>,
+    slots: Mutex<SlotPool>,
     shards: Vec<Mutex<HashMap<u64, LocState>>>,
     /// Release clocks of lock objects (`omp critical` support).
     locks: Mutex<HashMap<u64, VectorClock>>,
@@ -161,67 +308,73 @@ impl Default for RaceEngine {
 impl RaceEngine {
     /// Create an engine with task 0 (the host) already registered.
     pub fn new() -> Self {
-        let engine = RaceEngine {
-            tasks: Mutex::new(HashMap::new()),
-            slot_floor: Mutex::new(vec![0; MAX_TIDS]),
-            next_slot: AtomicU64::new(0),
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            locks: Mutex::new(HashMap::new()),
-        };
-        engine.register_root(0);
+        // The host holds slot 0.
+        let engine = Self::empty(SlotPool { free: Vec::new(), fresh: 1 });
+        engine.task_shard(0).write().insert(0, TaskCell::running(0, 1, VectorClock::new()));
         engine
     }
 
-    fn register_root(&self, task: u32) {
-        let tid = self.alloc_slot();
-        let mut vc = VectorClock::new();
-        vc.tick(tid);
-        self.tasks.lock().insert(task, TaskState { tid, vc, ended: false });
+    fn empty(slots: SlotPool) -> Self {
+        RaceEngine {
+            tasks: (0..TASK_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            slots: Mutex::new(slots),
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            locks: Mutex::new(HashMap::new()),
+        }
     }
 
-    fn alloc_slot(&self) -> u16 {
-        let raw = self.next_slot.fetch_add(1, Ordering::Relaxed);
-        (raw % MAX_TIDS as u64) as u16
+    #[inline]
+    fn task_shard(&self, task: u32) -> &RwLock<HashMap<u32, TaskCell>> {
+        &self.tasks[task as usize % TASK_SHARDS]
+    }
+
+    /// Run `f` on the task's cell (an empty one for unknown tasks) under
+    /// its shard's read lock.
+    #[inline]
+    fn with_task<R>(&self, task: u32, f: impl FnOnce(&TaskCell) -> R) -> R {
+        let shard = self.task_shard(task).read();
+        f(shard.get(&task).unwrap_or(&TaskCell::UNKNOWN))
+    }
+
+    /// Mutate a running task's cell; ended and unknown tasks are left as
+    /// they are.
+    fn update_running(&self, task: u32, f: impl FnOnce(&mut TaskCell)) {
+        if let Some(t) = self.task_shard(task).write().get_mut(&task) {
+            if !t.ended {
+                f(t);
+            }
+        }
     }
 
     /// The (tid, clock) epoch a task would stamp on its next access —
     /// what ARBALEST stores in the shadow word's TID/clock fields.
     pub fn epoch_of(&self, task: u32) -> Epoch {
-        let tasks = self.tasks.lock();
-        tasks.get(&task).map(|t| t.vc.epoch(t.tid)).unwrap_or(Epoch::ZERO)
+        self.with_task(task, TaskCell::epoch)
     }
 
     /// Fork: `child` begins, ordered after everything `parent` did so far.
+    /// A fork of an already-registered child is ignored.
     pub fn fork(&self, parent: u32, child: u32) {
-        let tid = self.alloc_slot();
-        let mut tasks = self.tasks.lock();
-        let parent_vc = tasks.get(&parent).map(|t| t.vc.clone()).unwrap_or_default();
-        let mut vc = parent_vc;
-        let floor = {
-            let floors = self.slot_floor.lock();
-            floors[tid as usize]
-        };
-        let start = vc.get(tid).max(floor) + 1;
-        vc.set(tid, start);
-        tasks.insert(child, TaskState { tid, vc, ended: false });
+        let vc = self.with_task(parent, TaskCell::full);
+        {
+            let mut shard = self.task_shard(child).write();
+            if shard.contains_key(&child) {
+                return;
+            }
+            if let Some(tid) = self.slots.lock().take(&vc) {
+                let own = vc.get(tid) + 1;
+                shard.insert(child, TaskCell::running(tid, own, vc));
+            }
+        }
         // Parent ticks so its post-fork work is not ordered before the
         // child's view of it.
-        if let Some(p) = tasks.get_mut(&parent) {
-            let ptid = p.tid;
-            p.vc.tick(ptid);
-        }
+        self.update_running(parent, |p| p.own += 1);
     }
 
     /// Task end: freeze the task's final clock.
     pub fn end(&self, task: u32) {
-        let mut tasks = self.tasks.lock();
-        if let Some(t) = tasks.get_mut(&task) {
+        if let Some(t) = self.task_shard(task).write().get_mut(&task) {
             t.ended = true;
-            let (tid, clk) = (t.tid, t.vc.get(t.tid));
-            drop(tasks);
-            let mut floors = self.slot_floor.lock();
-            let f = &mut floors[tid as usize];
-            *f = (*f).max(clk);
         }
     }
 
@@ -230,37 +383,41 @@ impl RaceEngine {
     pub fn acquire(&self, task: u32, lock: u64) {
         let lock_vc = self.locks.lock().get(&lock).cloned();
         if let Some(vc) = lock_vc {
-            let mut tasks = self.tasks.lock();
-            if let Some(t) = tasks.get_mut(&task) {
-                t.vc.join(&vc);
-            }
+            self.update_running(task, |t| t.vc.join(&vc));
         }
     }
 
     /// Lock release: publish the task's clock into the lock and tick.
     pub fn release(&self, task: u32, lock: u64) {
-        let mut tasks = self.tasks.lock();
-        if let Some(t) = tasks.get_mut(&task) {
-            let snapshot = t.vc.clone();
-            let tid = t.tid;
-            t.vc.tick(tid);
-            drop(tasks);
-            self.locks.lock().insert(lock, snapshot);
+        let mut published = None;
+        self.update_running(task, |t| {
+            published = Some(t.full());
+            t.own += 1;
+        });
+        if let Some(vc) = published {
+            self.locks.lock().insert(lock, vc);
         }
     }
 
-    /// Join: `waiter` continues, ordered after all of `joined`.
+    /// Join: `waiter` continues, ordered after all of `joined`. The first
+    /// join after `joined` ended returns its slot to the pool.
     pub fn join(&self, waiter: u32, joined: u32) {
-        let mut tasks = self.tasks.lock();
-        let joined_vc = match tasks.get(&joined) {
-            Some(t) => t.vc.clone(),
-            None => return,
+        let (vc, freed) = {
+            let mut shard = self.task_shard(joined).write();
+            let Some(j) = shard.get_mut(&joined) else { return };
+            let freed = (j.ended && !j.released).then(|| {
+                j.released = true;
+                (j.tid, j.own)
+            });
+            (j.full(), freed)
         };
-        if let Some(w) = tasks.get_mut(&waiter) {
-            w.vc.join(&joined_vc);
-            let wtid = w.tid;
-            w.vc.tick(wtid);
+        if let Some(slot) = freed {
+            self.slots.lock().free.push(slot);
         }
+        self.update_running(waiter, |w| {
+            w.vc.join(&vc);
+            w.own += 1;
+        });
     }
 
     #[inline]
@@ -271,132 +428,98 @@ impl RaceEngine {
         &self.shards[(h >> 58) as usize % SHARDS]
     }
 
-    fn task_view(&self, task: u32) -> (u16, VectorClock) {
-        let tasks = self.tasks.lock();
-        match tasks.get(&task) {
-            Some(t) => (t.tid, t.vc.clone()),
-            None => (0, VectorClock::new()),
+    /// FastTrack check of one granule access by `cell`; records it.
+    fn check_granule(
+        &self,
+        cell: &TaskCell,
+        granule: u64,
+        range: ByteRange,
+        is_write: bool,
+    ) -> Option<RaceInfo> {
+        let me = cell.epoch();
+        let mut shard = self.shard(granule).lock();
+        let loc = shard.entry(granule).or_insert_with(LocState::new);
+        let mut race = None;
+        if !loc.write.is_zero() && !cell.covers(loc.write) && range.overlaps(loc.write_range) {
+            race = Some(RaceInfo::of(loc.write, true));
         }
+        if is_write {
+            if race.is_none() {
+                race = match &loc.read {
+                    ReadState::Epoch(e, r) => {
+                        (!e.is_zero() && !cell.covers(*e) && range.overlaps(*r)).then_some(*e)
+                    }
+                    ReadState::Shared(reads) => reads.racing(cell, range.mask()),
+                }
+                .map(|e| RaceInfo::of(e, false));
+            }
+            loc.write = me;
+            loc.write_range = range;
+            loc.read = ReadState::Epoch(Epoch::ZERO, range);
+        } else {
+            match &mut loc.read {
+                ReadState::Epoch(e, r) => {
+                    if e.is_zero() || cell.covers(*e) {
+                        *e = me;
+                        *r = range;
+                    } else {
+                        // Concurrent reads: promote to a shared read state.
+                        let mut reads = SharedReads::default();
+                        reads.note(*e, r.mask());
+                        reads.note(me, range.mask());
+                        loc.read = ReadState::Shared(Box::new(reads));
+                    }
+                }
+                ReadState::Shared(reads) => reads.note(me, range.mask()),
+            }
+        }
+        race
+    }
+
+    fn check(&self, task: u32, addr: u64, size: u8, is_write: bool) -> Checked {
+        let range = ByteRange { offset: (addr & 7) as u8, size };
+        self.with_task(task, |cell| Checked {
+            epoch: cell.epoch(),
+            race: self.check_granule(cell, addr & !7, range, is_write),
+        })
     }
 
     /// FastTrack read check at `addr` (byte address; `size` ∈ 1..=8).
-    /// Returns the racing prior write, if any.
-    pub fn check_read(&self, task: u32, addr: u64, size: u8) -> Option<RaceInfo> {
-        let (tid, vc) = self.task_view(task);
-        let range = ByteRange { offset: (addr & 7) as u8, size };
-        let granule = addr & !7;
-        let mut shard = self.shard(granule).lock();
-        let loc = shard.entry(granule).or_insert_with(LocState::new);
-        let mut race = None;
-        if !loc.write.is_zero() && !loc.write.leq(&vc) && range.overlaps(loc.write_range) {
-            race = Some(RaceInfo {
-                prev_tid: loc.write.tid,
-                prev_clock: loc.write.clock,
-                prev_was_write: true,
-            });
-        }
-        // Update read state per FastTrack.
-        let me = vc.epoch(tid);
-        match &mut loc.read {
-            ReadState::Epoch(e, r) => {
-                if e.is_zero() || e.leq(&vc) {
-                    *e = me;
-                    *r = range;
-                } else {
-                    // Concurrent reads: promote to a read vector clock.
-                    let mut rvc = VectorClock::new();
-                    rvc.set(e.tid, e.clock);
-                    rvc.set(me.tid, me.clock);
-                    loc.read = ReadState::Shared(rvc);
-                }
-            }
-            ReadState::Shared(rvc) => {
-                rvc.set(me.tid, me.clock.max(rvc.get(me.tid)));
-            }
-        }
-        race
+    /// Returns the epoch recorded and the racing prior write, if any.
+    pub fn check_read(&self, task: u32, addr: u64, size: u8) -> Checked {
+        self.check(task, addr, size, false)
     }
 
-    /// FastTrack write check.
-    pub fn check_write(&self, task: u32, addr: u64, size: u8) -> Option<RaceInfo> {
-        let (tid, vc) = self.task_view(task);
-        let range = ByteRange { offset: (addr & 7) as u8, size };
-        let granule = addr & !7;
-        let mut shard = self.shard(granule).lock();
-        let loc = shard.entry(granule).or_insert_with(LocState::new);
-        let mut race = None;
-        if !loc.write.is_zero() && !loc.write.leq(&vc) && range.overlaps(loc.write_range) {
-            race = Some(RaceInfo {
-                prev_tid: loc.write.tid,
-                prev_clock: loc.write.clock,
-                prev_was_write: true,
-            });
-        }
-        if race.is_none() {
-            match &loc.read {
-                ReadState::Epoch(e, r) => {
-                    if !e.is_zero() && !e.leq(&vc) && range.overlaps(*r) {
-                        race = Some(RaceInfo {
-                            prev_tid: e.tid,
-                            prev_clock: e.clock,
-                            prev_was_write: false,
-                        });
-                    }
-                }
-                ReadState::Shared(rvc) => {
-                    if !rvc.leq(&vc) {
-                        // Find one offending reader for the report.
-                        let mut offender = Epoch::ZERO;
-                        for t in 0..MAX_TIDS as u16 {
-                            let c = rvc.get(t);
-                            if c > vc.get(t) {
-                                offender = Epoch { tid: t, clock: c };
-                                break;
-                            }
-                        }
-                        race = Some(RaceInfo {
-                            prev_tid: offender.tid,
-                            prev_clock: offender.clock,
-                            prev_was_write: false,
-                        });
-                    }
+    /// FastTrack write check; returns the epoch recorded and the racing
+    /// prior access, if any.
+    pub fn check_write(&self, task: u32, addr: u64, size: u8) -> Checked {
+        self.check(task, addr, size, true)
+    }
+
+    fn check_range(&self, task: u32, addr: u64, len: u64, is_write: bool) -> Option<RaceInfo> {
+        let end = addr.saturating_add(len);
+        self.with_task(task, |cell| {
+            let mut first = None;
+            for g in (addr & !7..end).step_by(8) {
+                if let Some(r) = self.check_granule(cell, g, ByteRange::WORD, is_write) {
+                    first.get_or_insert(r);
                 }
             }
-        }
-        loc.write = vc.epoch(tid);
-        loc.write_range = range;
-        loc.read = ReadState::Epoch(Epoch::ZERO, range);
-        race
+            first
+        })
     }
 
     /// Range write check: used for transfers, which behave like writes of
     /// the destination range and reads of the source range by the
-    /// transferring task. Returns the first race found.
+    /// transferring task. Takes the task's clock once for the whole range
+    /// and returns the first race found.
     pub fn check_write_range(&self, task: u32, addr: u64, len: u64) -> Option<RaceInfo> {
-        let mut g = addr & !7;
-        let end = addr + len;
-        let mut first = None;
-        while g < end {
-            if let Some(r) = self.check_write(task, g, 8) {
-                first.get_or_insert(r);
-            }
-            g += 8;
-        }
-        first
+        self.check_range(task, addr, len, true)
     }
 
     /// Range read check (see [`Self::check_write_range`]).
     pub fn check_read_range(&self, task: u32, addr: u64, len: u64) -> Option<RaceInfo> {
-        let mut g = addr & !7;
-        let end = addr + len;
-        let mut first = None;
-        while g < end {
-            if let Some(r) = self.check_read(task, g, 8) {
-                first.get_or_insert(r);
-            }
-            g += 8;
-        }
-        first
+        self.check_range(task, addr, len, false)
     }
 
     /// Drop the recorded per-location access history — the bulk of the
@@ -417,18 +540,18 @@ impl RaceEngine {
     /// snapshots. Every map is emitted sorted by key so two dumps of
     /// identical state are identical, independent of hash iteration order.
     pub fn to_snapshot(&self) -> RaceSnapshot {
-        let tasks = self.tasks.lock();
-        let mut task_dump: Vec<TaskSnapshot> = tasks
-            .iter()
-            .map(|(&task, t)| TaskSnapshot {
+        let mut tasks: Vec<TaskSnapshot> = Vec::new();
+        for s in &self.tasks {
+            tasks.extend(s.read().iter().map(|(&task, t)| TaskSnapshot {
                 task,
                 tid: t.tid,
+                own: t.own,
                 clock: t.vc.slot_values().to_vec(),
                 ended: t.ended,
-            })
-            .collect();
-        drop(tasks);
-        task_dump.sort_unstable_by_key(|t| t.task);
+                released: t.released,
+            }));
+        }
+        tasks.sort_unstable_by_key(|t| t.task);
         let mut locs: Vec<(u64, LocSnapshot)> = Vec::new();
         for s in &self.shards {
             for (&granule, loc) in s.lock().iter() {
@@ -446,26 +569,23 @@ impl RaceEngine {
                                 offset: r.offset,
                                 size: r.size,
                             },
-                            ReadState::Shared(vc) => {
-                                ReadSnapshot::Shared(vc.slot_values().to_vec())
-                            }
+                            ReadState::Shared(reads) => ReadSnapshot::Shared(
+                                reads.0.iter().map(|&(e, m)| (e.tid, e.clock, m)).collect(),
+                            ),
                         },
                     },
                 ));
             }
         }
         locs.sort_unstable_by_key(|&(g, _)| g);
-        let mut locks: Vec<(u64, Vec<u64>)> = self
-            .locks
-            .lock()
-            .iter()
-            .map(|(&l, vc)| (l, vc.slot_values().to_vec()))
-            .collect();
+        let mut locks: Vec<(u64, Vec<u64>)> =
+            self.locks.lock().iter().map(|(&l, vc)| (l, vc.slot_values().to_vec())).collect();
         locks.sort_unstable_by_key(|&(l, _)| l);
+        let slots = self.slots.lock();
         RaceSnapshot {
-            tasks: task_dump,
-            slot_floor: self.slot_floor.lock().clone(),
-            next_slot: self.next_slot.load(Ordering::Relaxed),
+            tasks,
+            free_slots: slots.free.clone(),
+            fresh_slots: slots.fresh,
             locs,
             locks,
         }
@@ -475,27 +595,21 @@ impl RaceEngine {
     /// re-registered — the snapshot already carries it — so slot
     /// assignment resumes exactly where the dumped engine left off.
     pub fn from_snapshot(snap: &RaceSnapshot) -> RaceEngine {
-        let mut floors = snap.slot_floor.clone();
-        floors.resize(MAX_TIDS, 0);
-        let engine = RaceEngine {
-            tasks: Mutex::new(HashMap::new()),
-            slot_floor: Mutex::new(floors),
-            next_slot: AtomicU64::new(snap.next_slot),
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            locks: Mutex::new(HashMap::new()),
-        };
-        {
-            let mut tasks = engine.tasks.lock();
-            for t in &snap.tasks {
-                tasks.insert(
-                    t.task,
-                    TaskState {
-                        tid: t.tid,
-                        vc: VectorClock::from_slots(t.clock.clone()),
-                        ended: t.ended,
-                    },
-                );
-            }
+        let engine = Self::empty(SlotPool {
+            free: snap.free_slots.clone(),
+            fresh: snap.fresh_slots.min(MAX_TIDS as u32),
+        });
+        for t in &snap.tasks {
+            engine.task_shard(t.task).write().insert(
+                t.task,
+                TaskCell {
+                    tid: t.tid,
+                    own: t.own,
+                    vc: VectorClock::from_slots(t.clock.clone()),
+                    ended: t.ended,
+                    released: t.released,
+                },
+            );
         }
         for (granule, loc) in &snap.locs {
             engine.shard(*granule).lock().insert(
@@ -508,9 +622,12 @@ impl RaceEngine {
                             Epoch { tid: *tid, clock: *clock },
                             ByteRange { offset: *offset, size: *size },
                         ),
-                        ReadSnapshot::Shared(slots) => {
-                            ReadState::Shared(VectorClock::from_slots(slots.clone()))
-                        }
+                        ReadSnapshot::Shared(reads) => ReadState::Shared(Box::new(SharedReads(
+                            reads
+                                .iter()
+                                .map(|&(tid, clock, m)| (Epoch { tid, clock }, m))
+                                .collect(),
+                        ))),
                     },
                 },
             );
@@ -524,17 +641,31 @@ impl RaceEngine {
         engine
     }
 
-    /// Approximate bytes held by clocks and location states (Fig. 9).
+    /// Approximate bytes held by clocks and location states, shared-read
+    /// entries included (Fig. 9).
     pub fn approx_bytes(&self) -> u64 {
-        let tasks = self.tasks.lock();
-        let task_bytes: u64 = tasks.values().map(|t| t.vc.approx_bytes() + 32).sum();
+        let task_bytes: u64 = self
+            .tasks
+            .iter()
+            .map(|s| s.read().values().map(|t| t.vc.approx_bytes() + 32).sum::<u64>())
+            .sum();
         let loc_bytes: u64 = self
             .shards
             .iter()
-            .map(|s| (s.lock().len() * (std::mem::size_of::<LocState>() + 16)) as u64)
+            .map(|s| {
+                s.lock()
+                    .values()
+                    .map(|loc| {
+                        let shared = match &loc.read {
+                            ReadState::Shared(reads) => reads.heap_bytes(),
+                            ReadState::Epoch(..) => 0,
+                        };
+                        (std::mem::size_of::<LocState>() + 16) as u64 + shared
+                    })
+                    .sum::<u64>()
+            })
             .sum();
-        let lock_bytes: u64 =
-            self.locks.lock().values().map(|v| v.approx_bytes() + 16).sum();
+        let lock_bytes: u64 = self.locks.lock().values().map(|v| v.approx_bytes() + 16).sum();
         task_bytes + loc_bytes + lock_bytes
     }
 }
@@ -549,14 +680,14 @@ mod tests {
     #[test]
     fn ordered_accesses_do_not_race() {
         let e = RaceEngine::new();
-        assert!(e.check_write(HOST, 0x100, 8).is_none());
+        assert!(e.check_write(HOST, 0x100, 8).race.is_none());
         e.fork(HOST, 1);
         // Child write after parent write: ordered by fork.
-        assert!(e.check_write(1, 0x100, 8).is_none());
+        assert!(e.check_write(1, 0x100, 8).race.is_none());
         e.end(1);
         e.join(HOST, 1);
         // Parent read after join: ordered.
-        assert!(e.check_read(HOST, 0x100, 8).is_none());
+        assert!(e.check_read(HOST, 0x100, 8).race.is_none());
     }
 
     #[test]
@@ -564,8 +695,8 @@ mod tests {
         let e = RaceEngine::new();
         e.fork(HOST, 1);
         e.fork(HOST, 2);
-        assert!(e.check_write(1, 0x200, 8).is_none());
-        let race = e.check_write(2, 0x200, 8).expect("siblings race");
+        assert!(e.check_write(1, 0x200, 8).race.is_none());
+        let race = e.check_write(2, 0x200, 8).race.expect("siblings race");
         assert!(race.prev_was_write);
     }
 
@@ -574,9 +705,9 @@ mod tests {
         let e = RaceEngine::new();
         e.fork(HOST, 1);
         e.fork(HOST, 2);
-        assert!(e.check_read(1, 0x300, 8).is_none());
-        assert!(e.check_read(2, 0x300, 8).is_none(), "read-read is fine");
-        let race = e.check_write(2, 0x300, 8);
+        assert!(e.check_read(1, 0x300, 8).race.is_none());
+        assert!(e.check_read(2, 0x300, 8).race.is_none(), "read-read is fine");
+        let race = e.check_write(2, 0x300, 8).race;
         // Reader 1 is concurrent with writer 2.
         assert!(race.is_some());
         assert!(!race.unwrap().prev_was_write);
@@ -586,9 +717,9 @@ mod tests {
     fn racing_write_then_read_detected() {
         let e = RaceEngine::new();
         e.fork(HOST, 1);
-        assert!(e.check_write(1, 0x400, 8).is_none());
+        assert!(e.check_write(1, 0x400, 8).race.is_none());
         // Host never joined task 1 → host read races child write.
-        let race = e.check_read(HOST, 0x400, 8).expect("unordered read");
+        let race = e.check_read(HOST, 0x400, 8).race.expect("unordered read");
         assert!(race.prev_was_write);
     }
 
@@ -599,7 +730,7 @@ mod tests {
         e.check_write(1, 0x500, 8);
         e.end(1);
         e.join(HOST, 1);
-        assert!(e.check_write(HOST, 0x500, 8).is_none());
+        assert!(e.check_write(HOST, 0x500, 8).race.is_none());
     }
 
     #[test]
@@ -607,11 +738,11 @@ mod tests {
         let e = RaceEngine::new();
         e.fork(HOST, 1);
         e.fork(HOST, 2);
-        assert!(e.check_write(1, 0x600, 4).is_none());
-        assert!(e.check_write(2, 0x604, 4).is_none(), "different halves of the word");
+        assert!(e.check_write(1, 0x600, 4).race.is_none());
+        assert!(e.check_write(2, 0x604, 4).race.is_none(), "different halves of the word");
         // Same half does race (fresh granule so the last-write range is 1's).
-        assert!(e.check_write(1, 0x610, 4).is_none());
-        assert!(e.check_write(2, 0x610, 4).is_some());
+        assert!(e.check_write(1, 0x610, 4).race.is_none());
+        assert!(e.check_write(2, 0x610, 4).race.is_some());
     }
 
     #[test]
@@ -623,7 +754,7 @@ mod tests {
         // Task 2 joins 1, then writes: ordered after 1.
         e.fork(HOST, 2);
         e.join(2, 1);
-        assert!(e.check_write(2, 0x700, 8).is_none());
+        assert!(e.check_write(2, 0x700, 8).race.is_none());
     }
 
     #[test]
@@ -638,14 +769,14 @@ mod tests {
         e.join(HOST, 1);
         e.join(HOST, 2);
         // After joining both readers the host write is ordered.
-        assert!(e.check_write(HOST, 0x800, 8).is_none());
+        assert!(e.check_write(HOST, 0x800, 8).race.is_none());
     }
 
     #[test]
     fn range_checks_cover_every_granule() {
         let e = RaceEngine::new();
         e.fork(HOST, 1);
-        assert!(e.check_write(1, 0x918, 8).is_none());
+        assert!(e.check_write(1, 0x918, 8).race.is_none());
         // Host range-write over [0x900, 0x940) hits granule 0x918.
         let race = e.check_write_range(HOST, 0x900, 0x40);
         assert!(race.is_some());
@@ -658,11 +789,11 @@ mod tests {
         e.fork(HOST, 2);
         // Task 1 writes inside the critical section, then releases.
         e.acquire(1, 99);
-        assert!(e.check_write(1, 0xA00, 8).is_none());
+        assert!(e.check_write(1, 0xA00, 8).race.is_none());
         e.release(1, 99);
         // Task 2 acquires the same lock: ordered after task 1's write.
         e.acquire(2, 99);
-        assert!(e.check_write(2, 0xA00, 8).is_none(), "lock ordering suppresses the race");
+        assert!(e.check_write(2, 0xA00, 8).race.is_none(), "lock ordering suppresses the race");
         e.release(2, 99);
     }
 
@@ -675,7 +806,7 @@ mod tests {
         e.check_write(1, 0xB00, 8);
         e.release(1, 1);
         e.acquire(2, 2); // a different lock
-        let race = e.check_write(2, 0xB00, 8);
+        let race = e.check_write(2, 0xB00, 8).race;
         assert!(race.is_some(), "disjoint locks provide no ordering");
     }
 
@@ -685,7 +816,7 @@ mod tests {
         e.fork(HOST, 1);
         e.fork(HOST, 2);
         e.check_read(1, 0x800, 8);
-        e.check_read(2, 0x800, 8); // promotes to a shared read clock
+        e.check_read(2, 0x800, 8); // promotes to a shared read state
         e.check_write(1, 0x900, 4);
         e.acquire(1, 99);
         e.release(1, 99);
@@ -697,8 +828,8 @@ mod tests {
         // Behaviour matches the live engine on the next events.
         assert_eq!(e.epoch_of(HOST), r.epoch_of(HOST));
         assert_eq!(e.epoch_of(1), r.epoch_of(1));
-        let live = e.check_write(HOST, 0x800, 8);
-        let rec = r.check_write(HOST, 0x800, 8);
+        let live = e.check_write(HOST, 0x800, 8).race;
+        let rec = r.check_write(HOST, 0x800, 8).race;
         assert_eq!(live, rec, "shared-read race must survive the snapshot");
         assert!(live.is_some());
         // Slot allocation resumes identically (no double-registered root).
@@ -717,5 +848,130 @@ mod tests {
         assert_eq!(e0.tid, e1.tid);
         let c = e.epoch_of(1);
         assert_ne!(c.tid, e0.tid);
+    }
+
+    #[test]
+    fn checks_hand_back_the_stamped_epoch() {
+        let e = RaceEngine::new();
+        e.fork(HOST, 1);
+        let c = e.check_write(1, 0xC00, 8);
+        assert_eq!(c.epoch, e.epoch_of(1));
+        assert_eq!(e.check_read(HOST, 0xC08, 8).epoch, e.epoch_of(HOST));
+        // An unknown task checks against an empty clock and stamps zero.
+        assert_eq!(e.check_read(77, 0xC10, 8).epoch, Epoch::ZERO);
+    }
+
+    #[test]
+    fn shared_reads_keep_their_byte_extents() {
+        let e = RaceEngine::new();
+        for t in 1..=3 {
+            e.fork(HOST, t);
+        }
+        // Two concurrent reads of bytes 0..4 promote to a shared state.
+        assert!(e.check_read(1, 0xD00, 4).race.is_none());
+        assert!(e.check_read(2, 0xD00, 4).race.is_none());
+        assert!(
+            e.check_write(3, 0xD04, 4).race.is_none(),
+            "a write of bytes 4..8 does not collide with reads of bytes 0..4"
+        );
+        // The same reads followed by an overlapping write do race.
+        e.check_read(1, 0xD10, 4);
+        e.check_read(2, 0xD10, 4);
+        let race = e.check_write(3, 0xD12, 2).race.expect("overlapping bytes race");
+        assert!(!race.prev_was_write);
+        assert_eq!(race.prev_tid, e.epoch_of(1).tid, "the first unordered reader is named");
+    }
+
+    #[test]
+    fn shared_reads_on_high_slots_stay_small_and_are_counted() {
+        let e = RaceEngine::new();
+        for t in 1..=4200 {
+            e.fork(HOST, t);
+        }
+        let (a, b) = (4198, 4199);
+        assert!(e.epoch_of(a).tid > 4095 && e.epoch_of(b).tid > 4095);
+        let before = e.approx_bytes();
+        e.check_read(a, 0x3000, 8);
+        e.check_read(b, 0x3000, 8); // promotes to a shared state
+        let grown = e.approx_bytes() - before;
+        let loc = (std::mem::size_of::<LocState>() + 16) as u64;
+        assert!(grown > loc, "the shared entries are counted");
+        assert!(grown < 512, "two readers on high slots hold {grown} bytes");
+        let race = e.check_write(4200, 0x3000, 8).race.expect("unordered readers");
+        assert_eq!(race.prev_tid, e.epoch_of(a).tid, "the lower reading slot is named");
+        let snap = e.to_snapshot();
+        assert_eq!(RaceEngine::from_snapshot(&snap).to_snapshot(), snap);
+    }
+
+    fn fork_end_join(e: &RaceEngine, parent: u32, child: u32) {
+        e.fork(parent, child);
+        e.end(child);
+        e.join(parent, child);
+    }
+
+    #[test]
+    fn slots_of_joined_tasks_are_recycled() {
+        let e = RaceEngine::new();
+        for t in 1..=10_000 {
+            fork_end_join(&e, HOST, t);
+        }
+        let snap = e.to_snapshot();
+        assert!(snap.fresh_slots <= 2, "fresh slots {}", snap.fresh_slots);
+        assert!(snap.tasks.iter().all(|t| t.clock.len() <= 2));
+    }
+
+    #[test]
+    fn more_than_4096_live_tasks_take_distinct_slots() {
+        let e = RaceEngine::new();
+        for t in 1..=5000 {
+            e.fork(HOST, t);
+        }
+        let snap = e.to_snapshot();
+        let mut tids: Vec<u16> = snap.tasks.iter().map(|t| t.tid).collect();
+        tids.sort_unstable();
+        tids.dedup();
+        assert_eq!(tids.len(), 5001, "no two live tasks share a slot");
+        // Slots 4097 apart in 12 bits still tell their tasks apart.
+        let a = (1..=5000).find(|&t| e.epoch_of(t).tid == 10).unwrap();
+        let b = (1..=5000).find(|&t| e.epoch_of(t).tid == 4106).unwrap();
+        assert!(e.check_write(a, 0xF00, 8).race.is_none());
+        assert!(e.check_write(b, 0xF00, 8).race.is_some());
+        // Live children's clocks stay narrow: their own slot is not stored.
+        assert!(snap.tasks.iter().all(|t| t.clock.len() <= 1));
+    }
+
+    #[test]
+    fn a_slot_is_reused_only_when_the_parent_covers_its_last_owner() {
+        let e = RaceEngine::new();
+        e.fork(HOST, 1);
+        e.fork(1, 2);
+        e.check_write(2, 0x1000, 8);
+        e.end(2);
+        e.join(1, 2); // 2's slot is pooled; only task 1 has observed it
+        e.fork(HOST, 3);
+        assert_ne!(e.epoch_of(3).tid, e.epoch_of(2).tid, "the host never observed task 2");
+        assert!(e.check_write(3, 0x1000, 8).race.is_some());
+        e.fork(1, 4);
+        assert_eq!(e.epoch_of(4).tid, e.epoch_of(2).tid, "task 1 covers task 2's final clock");
+        assert!(e.epoch_of(4).clock > e.epoch_of(2).clock);
+        assert!(e.check_write(4, 0x1000, 8).race.is_some(), "task 3's write is unordered");
+    }
+
+    #[test]
+    fn malformed_sync_streams_neither_panic_nor_unlock_reuse() {
+        let e = RaceEngine::new();
+        e.fork(HOST, u32::MAX);
+        e.fork(u32::MAX, 7);
+        e.join(HOST, 123_456_789); // unknown
+        e.join(HOST, 7); // still running: its slot stays taken
+        e.join(7, 7);
+        e.end(404);
+        e.fork(HOST, 7); // already registered: ignored
+        e.check_write(7, 0x2000, 8);
+        e.fork(HOST, 8);
+        assert_ne!(e.epoch_of(8).tid, e.epoch_of(7).tid);
+        assert!(e.check_write(8, 0x2000, 8).race.is_some());
+        assert!(e.check_write_range(9, u64::MAX - 4, 64).is_none());
+        assert!(e.approx_bytes() < 1 << 16);
     }
 }

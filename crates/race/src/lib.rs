@@ -16,7 +16,9 @@ pub mod clock;
 pub mod engine;
 
 pub use clock::{Epoch, VectorClock};
-pub use engine::{LocSnapshot, RaceEngine, RaceInfo, RaceSnapshot, ReadSnapshot, TaskSnapshot};
+pub use engine::{
+    Checked, LocSnapshot, RaceEngine, RaceInfo, RaceSnapshot, ReadSnapshot, TaskSnapshot,
+};
 
 /// # Example
 ///
@@ -25,9 +27,9 @@ pub use engine::{LocSnapshot, RaceEngine, RaceInfo, RaceSnapshot, ReadSnapshot, 
 ///
 /// let e = RaceEngine::new();
 /// e.fork(0, 1);                       // host forks a task
-/// assert!(e.check_write(1, 0x100, 8).is_none());
+/// assert!(e.check_write(1, 0x100, 8).race.is_none());
 /// // The host never joined task 1: its read races the task's write.
-/// let race = e.check_read(0, 0x100, 8).expect("race");
+/// let race = e.check_read(0, 0x100, 8).race.expect("race");
 /// assert!(race.prev_was_write);
 /// ```
 #[doc(hidden)]

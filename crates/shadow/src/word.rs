@@ -140,9 +140,11 @@ impl Layout {
         (1 << 12) - 1
     }
 
-    /// Encode a state into a 64-bit shadow word.
+    /// Encode a state into a 64-bit shadow word. The thread slot keeps
+    /// its low 12 bits and the clock its low [`Layout::clock_max`] bits:
+    /// both fields only annotate reports.
     pub fn encode(self, s: GranuleState) -> u64 {
-        debug_assert!(s.tid <= self.tid_max());
+        let tid = s.tid & self.tid_max();
         let clock = s.clock & self.clock_max();
         match self {
             Layout::TableII => {
@@ -152,7 +154,7 @@ impl Layout {
                 let mut w = 0u64;
                 w |= (s.valid_mask as u64 & 0b01) | ((s.valid_mask as u64 >> 1) & 0b01) << 1;
                 w |= ((s.init_mask as u64 & 0b01) << 2) | (((s.init_mask as u64 >> 1) & 0b01) << 3);
-                w |= (s.tid as u64) << 4;
+                w |= (tid as u64) << 4;
                 w |= clock << 16;
                 w |= (s.is_write as u64) << 58;
                 w |= size_class(s.access_size) << 59;
@@ -165,7 +167,7 @@ impl Layout {
                 let mut w = 0u64;
                 w |= s.valid_mask as u64;
                 w |= (s.init_mask as u64) << 8;
-                w |= (s.tid as u64) << 16;
+                w |= (tid as u64) << 16;
                 w |= clock << 28;
                 w |= (s.is_write as u64) << 58;
                 w |= size_class(s.access_size) << 59;
@@ -261,6 +263,16 @@ mod tests {
         let l = Layout::TableII;
         let s = GranuleState { clock: l.clock_max() + 5, access_size: 1, ..Default::default() };
         assert_eq!(l.decode(l.encode(s)).clock, 4);
+    }
+
+    #[test]
+    fn tid_keeps_its_low_12_bits() {
+        for l in [Layout::TableII, Layout::MultiDevice] {
+            let s = GranuleState { tid: 4096 + 10, access_size: 1, ..Default::default() };
+            let back = l.decode(l.encode(s));
+            assert_eq!(back.tid, 10);
+            assert_eq!(back.clock, 0, "the slot does not spill into the clock");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! buffers       : count | { id:u32, name:str, elem:u64, len:u64, ov:u64 }*
 //! reports       : wire::encode_reports
 //! seen          : count | { kind:u8, buffer:0|1+u32, file:str, line:u32 }*
-//! race          : 0 | 1 + race-engine state (tasks, floors, locs, locks)
+//! race          : 0 | 1 + race-engine state (tasks, slot pool, locs, locks)
 //! crc32 over everything above
 //! ```
 //!
@@ -32,8 +32,10 @@ use arbalest_race::{LocSnapshot, RaceSnapshot, ReadSnapshot, TaskSnapshot};
 /// Magic prefix of a snapshot (file or `Export` payload).
 pub const SNAP_MAGIC: [u8; 4] = *b"ABSS";
 
-/// Version of the snapshot layout. Bump on any layout change.
-pub const SNAP_VERSION: u16 = 1;
+/// Version of the snapshot layout. Bump on any layout change. Version 2
+/// carries race tasks' own clocks and released flags, the recycled-slot
+/// pool, and shared reads as one (slot, clock, byte mask) per reader.
+pub const SNAP_VERSION: u16 = 2;
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -127,11 +129,17 @@ pub fn encode_session_snapshot(snap: &SessionSnapshot) -> Vec<u8> {
             for t in &r.tasks {
                 put_u32(&mut out, t.task);
                 put_u16(&mut out, t.tid);
+                put_u64(&mut out, t.own);
                 put_bool(&mut out, t.ended);
+                put_bool(&mut out, t.released);
                 put_clock(&mut out, &t.clock);
             }
-            put_clock(&mut out, &r.slot_floor);
-            put_u64(&mut out, r.next_slot);
+            put_u32(&mut out, r.free_slots.len() as u32);
+            for &(slot, last) in &r.free_slots {
+                put_u16(&mut out, slot);
+                put_u64(&mut out, last);
+            }
+            put_u32(&mut out, r.fresh_slots);
             put_u32(&mut out, r.locs.len() as u32);
             for (granule, loc) in &r.locs {
                 put_u64(&mut out, *granule);
@@ -147,9 +155,14 @@ pub fn encode_session_snapshot(snap: &SessionSnapshot) -> Vec<u8> {
                         out.push(*offset);
                         out.push(*size);
                     }
-                    ReadSnapshot::Shared(slots) => {
+                    ReadSnapshot::Shared(reads) => {
                         out.push(1);
-                        put_clock(&mut out, slots);
+                        put_u32(&mut out, reads.len() as u32);
+                        for &(tid, clock, mask) in reads {
+                            put_u16(&mut out, tid);
+                            put_u64(&mut out, clock);
+                            out.push(mask);
+                        }
                     }
                 }
             }
@@ -247,12 +260,18 @@ pub fn decode_session_snapshot(bytes: &[u8]) -> Result<SessionSnapshot, StoreErr
                 tasks.push(TaskSnapshot {
                     task: cur.u32()?,
                     tid: cur.u16()?,
+                    own: cur.u64()?,
                     ended: cur.bool()?,
+                    released: cur.bool()?,
                     clock: clock(&mut cur)?,
                 });
             }
-            let slot_floor = clock(&mut cur)?;
-            let next_slot = cur.u64()?;
+            let n = cur.count("free slots")?;
+            let mut free_slots = Vec::with_capacity(n);
+            for _ in 0..n {
+                free_slots.push((cur.u16()?, cur.u64()?));
+            }
+            let fresh_slots = cur.u32()?;
             let n = cur.count("race locations")?;
             let mut locs = Vec::with_capacity(n);
             for _ in 0..n {
@@ -268,7 +287,14 @@ pub fn decode_session_snapshot(bytes: &[u8]) -> Result<SessionSnapshot, StoreErr
                         offset: cur.u8()?,
                         size: cur.u8()?,
                     },
-                    1 => ReadSnapshot::Shared(clock(&mut cur)?),
+                    1 => {
+                        let n = cur.count("shared reads")?;
+                        let mut reads = Vec::with_capacity(n);
+                        for _ in 0..n {
+                            reads.push((cur.u16()?, cur.u64()?, cur.u8()?));
+                        }
+                        ReadSnapshot::Shared(reads)
+                    }
                     tag => {
                         return Err(StoreError::Wire(WireError::BadTag { what: "read state", tag }))
                     }
@@ -283,7 +309,7 @@ pub fn decode_session_snapshot(bytes: &[u8]) -> Result<SessionSnapshot, StoreErr
             for _ in 0..n {
                 locks.push((cur.u64()?, clock(&mut cur)?));
             }
-            Some(RaceSnapshot { tasks, slot_floor, next_slot, locs, locks })
+            Some(RaceSnapshot { tasks, free_slots, fresh_slots, locs, locks })
         }
         tag => return Err(StoreError::Wire(WireError::BadTag { what: "race state", tag })),
     };
@@ -314,6 +340,7 @@ pub fn decode_session_snapshot(bytes: &[u8]) -> Result<SessionSnapshot, StoreErr
 mod tests {
     use super::*;
     use arbalest_core::{AnalysisSession, ArbalestConfig};
+    use arbalest_offload::events::SyncEvent;
     use arbalest_offload::prelude::*;
     use arbalest_offload::trace::{TraceEvent, TraceRecorder};
     use std::sync::Arc;
@@ -396,6 +423,69 @@ mod tests {
             Err(StoreError::Version { got: 99, want: SNAP_VERSION }) => {}
             other => panic!("expected Version error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn version_1_snapshots_fail_typed() {
+        let snap = AnalysisSession::new(ArbalestConfig::default()).to_snapshot();
+        let mut bytes = encode_session_snapshot(&snap);
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let body_len = bytes.len() - 4;
+        let crc = crate::crc::crc32(&bytes[..body_len]).to_le_bytes();
+        bytes[body_len..].copy_from_slice(&crc);
+        match decode_session_snapshot(&bytes) {
+            Err(StoreError::Version { got: 1, want: 2 }) => {}
+            other => panic!("expected Version error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn thousands_of_joined_tasks_snapshot_narrow_and_resume_identically() {
+        // 1800 target regions, each a kernel task running a two-thread
+        // loop: 5400 tasks forked, ended and joined.
+        let rec = Arc::new(TraceRecorder::new());
+        let rt = Runtime::with_tool(Config::default().team_size(2), rec.clone());
+        let a = rt.alloc_with::<f64>("a", 4, |i| i as f64);
+        for _ in 0..1800 {
+            rt.target().map(Map::tofrom(&a)).run(move |k| {
+                k.par_for(0..4, |k, i| {
+                    let v = k.read(&a, i);
+                    k.write(&a, i, v + 1.0);
+                });
+            });
+        }
+        let trace = rec.take();
+        let cut = trace
+            .iter()
+            .position(|ev| {
+                matches!(ev, TraceEvent::Sync(SyncEvent::TaskCreate { child, .. }) if child.0 >= 5000)
+            })
+            .expect("5000 tasks forked");
+        let whole = AnalysisSession::new(ArbalestConfig::default());
+        let half = AnalysisSession::new(ArbalestConfig::default());
+        for ev in &trace {
+            whole.feed(ev);
+        }
+        for ev in &trace[..cut] {
+            half.feed(ev);
+        }
+        let snap = half.to_snapshot();
+        let race = snap.detector.race.as_ref().expect("race state");
+        assert!(race.tasks.len() >= 5000);
+        let live = race.tasks.iter().filter(|t| !t.released).count();
+        let width = live + race.free_slots.len();
+        assert!(width < 16, "{live} live tasks, {} recycled slots", race.free_slots.len());
+        assert!(race.tasks.iter().all(|t| t.clock.len() <= width));
+        assert!(race.locks.iter().all(|(_, c)| c.len() <= width));
+        let bytes = encode_session_snapshot(&snap);
+        let back = decode_session_snapshot(&bytes).unwrap();
+        assert_eq!(back, snap);
+        let resumed =
+            AnalysisSession::from_snapshot(&back, arbalest_obs::Registry::disabled()).unwrap();
+        for ev in &trace[cut..] {
+            resumed.feed(ev);
+        }
+        assert_eq!(wire::encode_reports(&resumed.finish()), wire::encode_reports(&whole.finish()));
     }
 
     #[test]
