@@ -10,6 +10,12 @@ cd "$(dirname "$0")"
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+echo "==> perfbench build (the benchmark is a package of its own)"
+# Same target directory as perfbench/run.py; --locked fails the step if
+# perfbench/Cargo.lock would change.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked --quiet \
+    --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q (tier-1: root package)"
 cargo test -q
 

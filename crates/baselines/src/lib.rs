@@ -39,3 +39,53 @@ pub use archer::Archer;
 pub use asan::AddressSanitizer;
 pub use memcheck::Memcheck;
 pub use msan::MemorySanitizer;
+
+use arbalest_core::{Arbalest, ArbalestConfig};
+use arbalest_obs::Registry;
+use arbalest_offload::events::Tool;
+use std::sync::Arc;
+
+/// Tool names in the paper's presentation order.
+pub const TOOLS: [&str; 5] = ["arbalest", "memcheck", "archer", "asan", "msan"];
+
+/// Display name used in the paper's tables and figures.
+pub fn paper_name(tool: &str) -> &'static str {
+    match tool {
+        "arbalest" => "Arbalest",
+        "memcheck" => "Valgrind",
+        "archer" => "Archer",
+        "asan" => "ASan",
+        "msan" => "MSan",
+        _ => "?",
+    }
+}
+
+/// Instantiate a tool by name (ARBALEST included): any [`TOOLS`] entry,
+/// or `valgrind` for memcheck. The ARBALEST detector records into `reg`;
+/// the baselines keep no metrics. `None` for an unknown name.
+pub fn by_name(name: &str, reg: &Registry) -> Option<Arc<dyn Tool>> {
+    Some(match name {
+        "arbalest" => Arc::new(Arbalest::with_registry(ArbalestConfig::default(), reg.clone())),
+        "memcheck" | "valgrind" => Arc::new(Memcheck::new()),
+        "archer" => Arc::new(Archer::new()),
+        "asan" => Arc::new(AddressSanitizer::new()),
+        "msan" => Arc::new(MemorySanitizer::new()),
+        _ => return None,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn by_name_builds_every_listed_tool_and_nothing_else() {
+        let reg = Registry::new();
+        for name in TOOLS {
+            let tool = by_name(name, &reg).unwrap_or_else(|| panic!("{name} not built"));
+            assert_eq!(tool.name(), name);
+        }
+        assert_eq!(by_name("valgrind", &reg).map(|t| t.name()), Some("memcheck"));
+        assert!(by_name("nonsense", &reg).is_none());
+    }
+}

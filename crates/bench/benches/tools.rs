@@ -10,8 +10,9 @@
 //!
 //! Self-contained timing harness (`harness = false`, no external crates).
 
-use arbalest_bench::make_tool;
+use arbalest_baselines::by_name;
 use arbalest_core::{Arbalest, ArbalestConfig};
+use arbalest_obs::Registry;
 use arbalest_offload::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,7 +53,8 @@ fn main() {
     bench("native", || saxpy(&Runtime::new(Config::default().team_size(2))));
     for tool in ["arbalest", "archer", "asan", "msan", "memcheck"] {
         bench(tool, || {
-            let rt = Runtime::with_tool(Config::default().team_size(2), make_tool(tool));
+            let t = by_name(tool, &Registry::new()).expect("known tool");
+            let rt = Runtime::with_tool(Config::default().team_size(2), t);
             saxpy(&rt)
         });
     }

@@ -14,7 +14,8 @@
 //! Size via `ARBALEST_PRESET` = test | small (default) | medium; team
 //! size via `ARBALEST_TEAM` (default 4).
 
-use arbalest_bench::{measure, paper_name, preset_from_env, TOOLS};
+use arbalest_baselines::{paper_name, TOOLS};
+use arbalest_bench::{measure, preset_from_env};
 
 fn main() {
     let preset = preset_from_env();

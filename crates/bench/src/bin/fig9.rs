@@ -8,7 +8,8 @@
 //! implementation; Arbalest ≈ Archer since it encodes its state into
 //! Archer's shadow words (§VI-F).
 
-use arbalest_bench::{fmt_bytes, measure, paper_name, preset_from_env, TOOLS};
+use arbalest_baselines::{paper_name, TOOLS};
+use arbalest_bench::{fmt_bytes, measure, preset_from_env};
 
 fn main() {
     let preset = preset_from_env();

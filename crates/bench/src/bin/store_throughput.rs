@@ -9,7 +9,7 @@
 //!    each ack, so MB/s and events/s here bound ingest throughput).
 //! 2. **Snapshot** — each case's full analysis state is captured with
 //!    `to_snapshot` and encoded; sizes show what a snapshot trigger
-//!    writes and what an `Export` frame carries.
+//!    writes.
 //! 3. **Cold recovery** — each session is rebuilt from disk twice:
 //!    once replaying the whole WAL (worst case: crash with no
 //!    snapshot), once from a full-coverage snapshot after compaction
@@ -133,7 +133,7 @@ fn main() {
     );
 
     // Phase 2: snapshot sizes — full analysis state per case, encoded
-    // exactly as the snapshot trigger and the Export frame would.
+    // exactly as the snapshot trigger would.
     let store = Store::open(&data_dir, cfg.clone(), &registry).expect("reopen store");
     let mut snap_bytes: Vec<f64> = Vec::with_capacity(cases);
     let mut snap_total = 0u64;

@@ -3,22 +3,23 @@
 //! data mapping issues, plus the false-positive check over the 40
 //! correct benchmarks.
 
-use arbalest_bench::{make_tool, paper_name, TOOLS};
+use arbalest_baselines::{by_name, paper_name, TOOLS};
+use arbalest_obs::Registry;
 use arbalest_offload::prelude::*;
 
-fn detected(bench: &arbalest_dracc::Benchmark, tool: &str) -> bool {
-    let t = make_tool(tool);
-    let rt = Runtime::with_tool(Config::default(), t);
+fn reports(bench: &arbalest_dracc::Benchmark, tool: &str) -> Vec<Report> {
+    let rt = Runtime::with_tool(Config::default(), by_name(tool, &Registry::new()).expect("tool"));
     bench.run(&rt);
+    rt.reports()
+}
+
+fn detected(bench: &arbalest_dracc::Benchmark, tool: &str) -> bool {
     let effect = bench.expected.expect("buggy");
-    rt.reports().iter().any(|r| r.kind.credits_effect(effect))
+    reports(bench, tool).iter().any(|r| r.kind.credits_effect(effect))
 }
 
 fn any_report(bench: &arbalest_dracc::Benchmark, tool: &str) -> bool {
-    let t = make_tool(tool);
-    let rt = Runtime::with_tool(Config::default(), t);
-    bench.run(&rt);
-    !rt.reports().is_empty()
+    !reports(bench, tool).is_empty()
 }
 
 fn main() {

@@ -14,7 +14,8 @@
 //! array is initialised depends on program input, so the static verdict
 //! stays "may" and the dynamic run decides it.
 
-use arbalest_bench::make_tool;
+use arbalest_baselines::by_name;
+use arbalest_obs::Registry;
 use arbalest_offload::prelude::*;
 use arbalest_static::{analyze, Severity};
 use std::collections::BTreeSet;
@@ -33,7 +34,7 @@ fn main() {
         let model = arbalest_dracc::ir_models::ir_model(b.id).expect("model");
         let diags = analyze(&model);
 
-        let tool = make_tool("arbalest");
+        let tool = by_name("arbalest", &Registry::new()).expect("known tool");
         let rt = Runtime::with_tool(Config::default(), tool);
         b.run(&rt);
         let dynamic: Vec<Report> = rt.reports();

@@ -14,39 +14,11 @@
 //! micro-claims: O(1) VSM transitions, lock-free shadow updates, and
 //! O(log m) interval-tree lookups.
 
-use arbalest_baselines::{AddressSanitizer, Archer, Memcheck, MemorySanitizer};
-use arbalest_core::{Arbalest, ArbalestConfig};
+use arbalest_baselines::by_name;
+use arbalest_obs::Registry;
 use arbalest_offload::prelude::*;
 use arbalest_spec::Preset;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Tool names in the paper's presentation order.
-pub const TOOLS: [&str; 5] = ["arbalest", "memcheck", "archer", "asan", "msan"];
-
-/// Display name used in the paper's tables/figures.
-pub fn paper_name(tool: &str) -> &'static str {
-    match tool {
-        "arbalest" => "Arbalest",
-        "memcheck" => "Valgrind",
-        "archer" => "Archer",
-        "asan" => "ASan",
-        "msan" => "MSan",
-        _ => "?",
-    }
-}
-
-/// Instantiate a tool model by name.
-pub fn make_tool(name: &str) -> Arc<dyn Tool> {
-    match name {
-        "arbalest" => Arc::new(Arbalest::new(ArbalestConfig::default())),
-        "memcheck" => Arc::new(Memcheck::new()),
-        "archer" => Arc::new(Archer::new()),
-        "asan" => Arc::new(AddressSanitizer::new()),
-        "msan" => Arc::new(MemorySanitizer::new()),
-        other => panic!("unknown tool {other}"),
-    }
-}
 
 /// Outcome of one measured workload run.
 pub struct Measurement {
@@ -65,7 +37,7 @@ pub fn measure(workload: &str, tool: Option<&str>, preset: Preset, team: usize) 
     let w = arbalest_spec::by_name(workload).expect("known workload");
     let cfg = Config::default().team_size(team);
     let rt = match tool {
-        Some(name) => Runtime::with_tool(cfg, make_tool(name)),
+        Some(name) => Runtime::with_tool(cfg, by_name(name, &Registry::new()).expect("known tool")),
         None => Runtime::new(cfg),
     };
     let start = Instant::now();

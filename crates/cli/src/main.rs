@@ -31,7 +31,7 @@
 //!   --faults seed=N,rate=P   deterministic fault injection (rate in [0,1])
 //! ```
 
-use arbalest_baselines::{AddressSanitizer, Archer, Memcheck, MemorySanitizer};
+use arbalest_baselines::by_name;
 use arbalest_core::{certify, Arbalest, ArbalestConfig};
 use arbalest_obs::{Registry, SpanEvent};
 use arbalest_offload::json::{metrics_json, span_json, Json};
@@ -43,13 +43,17 @@ use arbalest_spec::Preset;
 use arbalest_static::{analyze, Severity};
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum OutputFormat {
     Text,
     Json,
+    Prom,
 }
 
+/// Every command's flags. A command reads the fields it needs and
+/// ignores the rest.
 struct Options {
     tools: Vec<String>,
     preset: Preset,
@@ -57,7 +61,10 @@ struct Options {
     serialize: bool,
     team: usize,
     quiet: bool,
+    /// text|json for the report commands, text|prom for `stats`.
     format: OutputFormat,
+    /// Fault injection: the runtime's for run-style commands, the
+    /// workers' chaos plan for `serve`.
     faults: FaultConfig,
     metrics_out: Option<String>,
     trace_out: Option<String>,
@@ -69,28 +76,47 @@ struct Options {
     /// fix/optimize: re-run both oracles on the patched program and
     /// include the differential verdict in the output.
     apply_check: bool,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            tools: Vec::new(),
-            preset: Preset::Test,
-            unified: false,
-            serialize: false,
-            team: 4,
-            quiet: false,
-            format: OutputFormat::Text,
-            faults: FaultConfig::disabled(),
-            metrics_out: None,
-            trace_out: None,
-            no_metrics: false,
-            deny: None,
-            seeds: 64,
-            report: None,
-            apply_check: false,
-        }
-    }
+    /// serve: bind address; submit/stats/stop: server address.
+    addr: String,
+    shards: usize,
+    queue_cap: usize,
+    chunk: usize,
+    /// record: output trace file.
+    out: Option<String>,
+    /// serve: per-session byte budget (`0` = unlimited).
+    max_session_bytes: u64,
+    /// serve: per-session inflight-event cap (`0` = unlimited).
+    max_inflight: u64,
+    /// serve: per-instance frame-size ceiling.
+    max_frame: u32,
+    /// serve: idle-connection reap timeout.
+    idle_timeout: Duration,
+    /// serve: per-request (frame-completion) deadline.
+    request_deadline: Duration,
+    /// serve: shutdown drain deadline.
+    drain_deadline: Duration,
+    /// submit: total client-side deadline per operation.
+    deadline: Option<Duration>,
+    /// serve: durable-session data directory (`None` = no durability).
+    data_dir: Option<String>,
+    /// serve: directory for per-session Perfetto trace files (`None` = the
+    /// server still buffers spans for `TraceSnapshot`, but writes nothing).
+    trace_dir: Option<String>,
+    /// submit: stamp batches with root span contexts (causal tracing).
+    trace: bool,
+    /// serve: snapshot a session after this many WAL bytes (0 = off).
+    snapshot_every_bytes: u64,
+    /// serve: snapshot a session after this many events (0 = off).
+    snapshot_every_events: u64,
+    /// serve: WAL fsync policy.
+    fsync: arbalest_store::FsyncPolicy,
+    /// submit: durable session id to resume instead of opening fresh.
+    resume: Option<u64>,
+    /// submit: stream only the first N events of the trace.
+    take: Option<usize>,
+    /// submit: leave the session open (no `Finish`) — crash-recovery
+    /// drills resume it later.
+    no_finish: bool,
 }
 
 /// Parse `seed=N,rate=P` (either key optional, any order) for `--faults`.
@@ -234,93 +260,192 @@ options:
   --no-metrics               dracc/spec: run with instrumentation disabled
 ";
 
-fn make_tool(name: &str) -> Option<Arc<dyn Tool>> {
-    Some(match name {
-        "arbalest" => Arc::new(Arbalest::new(ArbalestConfig::default())),
-        "memcheck" | "valgrind" => Arc::new(Memcheck::new()),
-        "archer" => Arc::new(Archer::new()),
-        "asan" => Arc::new(AddressSanitizer::new()),
-        "msan" => Arc::new(MemorySanitizer::new()),
-        _ => return None,
-    })
+/// Parse a byte count with an optional `K`/`M`/`G` suffix.
+fn parse_bytes(v: &str) -> Option<u64> {
+    let (num, mult) = match v.as_bytes().last()? {
+        b'K' | b'k' => (&v[..v.len() - 1], 1u64 << 10),
+        b'M' | b'm' => (&v[..v.len() - 1], 1 << 20),
+        b'G' | b'g' => (&v[..v.len() - 1], 1 << 30),
+        _ => (v, 1),
+    };
+    num.parse::<u64>().ok()?.checked_mul(mult)
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options::default();
+/// Parse a duration given in (possibly fractional) seconds; negative,
+/// NaN and unrepresentably large values are refused.
+fn parse_secs(v: &str) -> Option<Duration> {
+    Duration::try_from_secs_f64(v.parse().ok()?).ok()
+}
+
+fn parse_num<T: std::str::FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+/// The value after `flag`, run through `parse`; a missing or malformed
+/// value is an error saying what the flag needs.
+fn flag_value<T>(
+    flag: &str,
+    value: Option<&String>,
+    needs: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    value.and_then(|v| parse(v)).ok_or_else(|| format!("{flag} needs {needs}"))
+}
+
+/// Parse `cmd`'s flags. Every command shares one flag set; a flag the
+/// command does not read is accepted and ignored.
+fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
+    let server = ServerConfig::default();
+    let mut o = Options {
+        tools: Vec::new(),
+        preset: Preset::Test,
+        unified: false,
+        serialize: false,
+        team: 4,
+        quiet: false,
+        format: OutputFormat::Text,
+        faults: FaultConfig::disabled(),
+        metrics_out: None,
+        trace_out: None,
+        no_metrics: false,
+        deny: None,
+        seeds: 64,
+        report: None,
+        apply_check: false,
+        addr: "unix:/tmp/arbalest.sock".into(),
+        shards: 4,
+        queue_cap: 128,
+        chunk: 1024,
+        out: None,
+        max_session_bytes: server.max_session_bytes,
+        max_inflight: server.max_inflight_events,
+        max_frame: server.max_frame,
+        idle_timeout: server.idle_timeout,
+        request_deadline: server.request_deadline,
+        drain_deadline: server.drain_deadline,
+        deadline: None,
+        data_dir: None,
+        trace_dir: None,
+        trace: false,
+        snapshot_every_bytes: 0,
+        snapshot_every_events: 0,
+        fsync: arbalest_store::FsyncPolicy::default(),
+        resume: None,
+        take: None,
+        no_finish: false,
+    };
+    let path = |v: &str| Some(v.to_string());
+    let bytes = "a byte count (K/M/G suffix ok)";
     let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        match flag {
             "--tool" => {
-                let v = it.next().ok_or("--tool needs a value")?;
-                if make_tool(v).is_none() {
+                let v = flag_value(flag, it.next(), "a tool name", path)?;
+                if by_name(&v, &Registry::disabled()).is_none() {
                     return Err(format!("unknown tool '{v}'"));
                 }
-                opts.tools.push(v.clone());
+                o.tools.push(v);
             }
             "--preset" => {
-                opts.preset = match it.next().map(String::as_str) {
+                o.preset = match it.next().map(String::as_str) {
                     Some("test") => Preset::Test,
                     Some("small") => Preset::Small,
                     Some("medium") => Preset::Medium,
                     other => return Err(format!("bad --preset {other:?}")),
                 };
             }
-            "--unified" => opts.unified = true,
-            "--serialize" => opts.serialize = true,
-            "--team" => {
-                opts.team = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--team needs a number")?;
-            }
-            "--quiet" => opts.quiet = true,
+            "--unified" => o.unified = true,
+            "--serialize" => o.serialize = true,
+            "--team" => o.team = flag_value(flag, it.next(), "a number", parse_num)?,
+            "--quiet" => o.quiet = true,
             "--format" => {
-                opts.format = match it.next().map(String::as_str) {
+                o.format = match it.next().map(String::as_str) {
                     Some("text") => OutputFormat::Text,
                     Some("json") => OutputFormat::Json,
-                    other => return Err(format!("bad --format {other:?} (want text|json)")),
+                    Some("prom") => OutputFormat::Prom,
+                    other => return Err(format!("bad --format {other:?} (want text|json|prom)")),
                 };
             }
             "--faults" => {
-                let v = it.next().ok_or("--faults needs seed=N,rate=P")?;
-                opts.faults = parse_faults(v)?;
+                o.faults = parse_faults(&flag_value(flag, it.next(), "seed=N,rate=P", path)?)?;
             }
             "--metrics-out" => {
-                opts.metrics_out = Some(it.next().ok_or("--metrics-out needs a file path")?.clone());
+                o.metrics_out = Some(flag_value(flag, it.next(), "a file path", path)?);
             }
-            "--trace-out" => {
-                opts.trace_out = Some(it.next().ok_or("--trace-out needs a file path")?.clone());
-            }
-            "--no-metrics" => opts.no_metrics = true,
+            "--trace-out" => o.trace_out = Some(flag_value(flag, it.next(), "a file path", path)?),
+            "--no-metrics" => o.no_metrics = true,
             "--deny" => {
-                opts.deny = match it.next().map(String::as_str) {
+                o.deny = match it.next().map(String::as_str) {
                     Some("may") => Some(Severity::May),
                     Some("must") => Some(Severity::Must),
                     other => return Err(format!("bad --deny {other:?} (want may|must)")),
                 };
             }
-            "--seeds" => {
-                opts.seeds = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seeds needs a number")?;
+            "--seeds" => o.seeds = flag_value(flag, it.next(), "a number", parse_num)?,
+            "--report" => o.report = Some(flag_value(flag, it.next(), "an index", parse_num)?),
+            "--apply-check" => o.apply_check = true,
+            "--listen" | "--connect" => o.addr = flag_value(flag, it.next(), "an address", path)?,
+            "--shards" => o.shards = flag_value(flag, it.next(), "a number", parse_num)?,
+            "--queue-cap" => o.queue_cap = flag_value(flag, it.next(), "a number", parse_num)?,
+            "--chunk" => o.chunk = flag_value(flag, it.next(), "a number", parse_num)?,
+            "-o" => o.out = Some(flag_value(flag, it.next(), "a file path", path)?),
+            "--max-session-bytes" => {
+                o.max_session_bytes = flag_value(flag, it.next(), bytes, parse_bytes)?;
             }
-            "--report" => {
-                opts.report = Some(
-                    it.next().and_then(|s| s.parse().ok()).ok_or("--report needs an index")?,
-                );
+            "--max-inflight" => {
+                o.max_inflight = flag_value(flag, it.next(), "a number", parse_num)?;
             }
-            "--apply-check" => opts.apply_check = true,
+            "--max-frame" => {
+                let n = flag_value(flag, it.next(), bytes, parse_bytes)?;
+                o.max_frame = u32::try_from(n).map_err(|_| "--max-frame too large")?;
+            }
+            "--idle-timeout" => {
+                o.idle_timeout = flag_value(flag, it.next(), "seconds", parse_secs)?;
+            }
+            "--request-deadline" => {
+                o.request_deadline = flag_value(flag, it.next(), "seconds", parse_secs)?;
+            }
+            "--drain-deadline" => {
+                o.drain_deadline = flag_value(flag, it.next(), "seconds", parse_secs)?;
+            }
+            "--deadline" => o.deadline = Some(flag_value(flag, it.next(), "seconds", parse_secs)?),
+            "--data-dir" => o.data_dir = Some(flag_value(flag, it.next(), "a directory", path)?),
+            "--trace-dir" => o.trace_dir = Some(flag_value(flag, it.next(), "a directory", path)?),
+            "--trace" => o.trace = true,
+            "--snapshot-every-bytes" => {
+                o.snapshot_every_bytes = flag_value(flag, it.next(), bytes, parse_bytes)?;
+            }
+            "--snapshot-every-events" => {
+                o.snapshot_every_events = flag_value(flag, it.next(), "a number", parse_num)?;
+            }
+            "--fsync-policy" => {
+                o.fsync = flag_value(flag, it.next(), "always|group[=bytes]|never", path)?.parse()?;
+            }
+            "--resume" => o.resume = Some(flag_value(flag, it.next(), "a session id", parse_num)?),
+            "--take" => o.take = Some(flag_value(flag, it.next(), "an event count", parse_num)?),
+            "--no-finish" => o.no_finish = true,
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    if opts.tools.is_empty() {
-        opts.tools.push("arbalest".to_string());
+    // `stats` takes text|prom, the other networked commands ignore
+    // `--format`, and every other command takes text|json.
+    let refused = match (cmd, o.format) {
+        ("stats", OutputFormat::Json) => Some(("json", "text|prom")),
+        ("stats" | "serve" | "submit" | "record" | "stop", _) => None,
+        (_, OutputFormat::Prom) => Some(("prom", "text|json")),
+        _ => None,
+    };
+    if let Some((format, want)) = refused {
+        return Err(format!("{cmd} does not take --format {format} (want {want})"));
     }
-    if opts.no_metrics && (opts.metrics_out.is_some() || opts.trace_out.is_some()) {
+    if o.tools.is_empty() {
+        o.tools.push("arbalest".to_string());
+    }
+    if o.no_metrics && (o.metrics_out.is_some() || o.trace_out.is_some()) {
         return Err("--no-metrics conflicts with --metrics-out/--trace-out".into());
     }
-    Ok(opts)
+    Ok(o)
 }
 
 fn runtime_for(opts: &Options, tool: &str, reg: &Registry) -> Runtime {
@@ -332,12 +457,20 @@ fn runtime_for(opts: &Options, tool: &str, reg: &Registry) -> Runtime {
         .metrics(reg.clone());
     // The arbalest detector shares the command's registry so its VSM and
     // cache metrics land next to the runtime's; baselines have no metrics.
-    let tool: Arc<dyn Tool> = if tool == "arbalest" {
-        Arc::new(Arbalest::with_registry(ArbalestConfig::default(), reg.clone()))
-    } else {
-        make_tool(tool).expect("validated")
-    };
-    Runtime::with_tool(cfg, tool)
+    Runtime::with_tool(cfg, by_name(tool, reg).expect("tool names are checked when parsed"))
+}
+
+/// Resolve a DRACC `<id|all>` target; `None` (after saying why) when the
+/// id names no benchmark.
+fn dracc_targets(target: &str) -> Option<Vec<arbalest_dracc::Benchmark>> {
+    if target == "all" {
+        return Some(arbalest_dracc::all());
+    }
+    let found = target.parse::<u32>().ok().and_then(arbalest_dracc::by_id);
+    if found.is_none() {
+        eprintln!("unknown benchmark id '{target}'");
+    }
+    found.map(|b| vec![b])
 }
 
 /// The registry a run-style command records into: enabled by default,
@@ -404,17 +537,7 @@ fn cmd_list() -> ExitCode {
 }
 
 fn cmd_dracc(target: &str, opts: &Options) -> ExitCode {
-    let benches: Vec<_> = if target == "all" {
-        arbalest_dracc::all()
-    } else {
-        match target.parse::<u32>().ok().and_then(arbalest_dracc::by_id) {
-            Some(b) => vec![b],
-            None => {
-                eprintln!("unknown benchmark id '{target}'");
-                return ExitCode::from(2);
-            }
-        }
-    };
+    let Some(benches) = dracc_targets(target) else { return ExitCode::from(2) };
     let reg = registry_for(opts);
     let mut missed = 0usize;
     let mut results = Vec::new();
@@ -925,17 +1048,7 @@ fn cmd_optimize(target: &str, opts: &Options) -> ExitCode {
 }
 
 fn cmd_certify(target: &str, opts: &Options) -> ExitCode {
-    let benches: Vec<_> = if target == "all" {
-        arbalest_dracc::all()
-    } else {
-        match target.parse::<u32>().ok().and_then(arbalest_dracc::by_id) {
-            Some(b) => vec![b],
-            None => {
-                eprintln!("unknown benchmark id '{target}'");
-                return ExitCode::from(2);
-            }
-        }
-    };
+    let Some(benches) = dracc_targets(target) else { return ExitCode::from(2) };
     let mut wrong = 0usize;
     for b in &benches {
         let cfg = Config::default().team_size(opts.team).unified(opts.unified);
@@ -962,17 +1075,7 @@ fn cmd_certify(target: &str, opts: &Options) -> ExitCode {
 }
 
 fn cmd_profile(target: &str, opts: &Options) -> ExitCode {
-    let benches: Vec<_> = if target == "all" {
-        arbalest_dracc::all()
-    } else {
-        match target.parse::<u32>().ok().and_then(arbalest_dracc::by_id) {
-            Some(b) => vec![b],
-            None => {
-                eprintln!("unknown benchmark id '{target}'");
-                return ExitCode::from(2);
-            }
-        }
-    };
+    let Some(benches) = dracc_targets(target) else { return ExitCode::from(2) };
     let reg = Registry::new();
     let start = std::time::Instant::now();
     let mut reports = 0usize;
@@ -1295,218 +1398,6 @@ fn cmd_check_trace(path: &str) -> ExitCode {
     }
 }
 
-/// Options for the networked subcommands (`serve`, `submit`, `record`,
-/// `stats`, `stop`).
-struct NetOptions {
-    addr: String,
-    shards: usize,
-    queue_cap: usize,
-    chunk: usize,
-    out: Option<String>,
-    quiet: bool,
-    /// `stats` output: "text" (human summary) or "prom" (the server's full
-    /// metrics registry in Prometheus text format).
-    format: String,
-    /// serve: per-session byte budget (`0` = unlimited).
-    max_session_bytes: u64,
-    /// serve: per-session inflight-event cap (`0` = unlimited).
-    max_inflight: u64,
-    /// serve: per-instance frame-size ceiling.
-    max_frame: u32,
-    /// serve: idle-connection reap timeout.
-    idle_timeout: std::time::Duration,
-    /// serve: per-request (frame-completion) deadline.
-    request_deadline: std::time::Duration,
-    /// serve: shutdown drain deadline.
-    drain_deadline: std::time::Duration,
-    /// serve: worker-side chaos injection.
-    faults: FaultConfig,
-    /// submit: total client-side deadline per operation.
-    deadline: Option<std::time::Duration>,
-    /// serve: durable-session data directory (`None` = no durability).
-    data_dir: Option<String>,
-    /// serve: directory for per-session Perfetto trace files (`None` = the
-    /// server still buffers spans for `TraceSnapshot`, but writes nothing).
-    trace_dir: Option<String>,
-    /// submit: stamp batches with root span contexts (causal tracing).
-    trace: bool,
-    /// serve: snapshot a session after this many WAL bytes (0 = off).
-    snapshot_every_bytes: u64,
-    /// serve: snapshot a session after this many events (0 = off).
-    snapshot_every_events: u64,
-    /// serve: WAL fsync policy.
-    fsync: arbalest_store::FsyncPolicy,
-    /// submit: durable session id to resume instead of opening fresh.
-    resume: Option<u64>,
-    /// submit: stream only the first N events of the trace.
-    take: Option<usize>,
-    /// submit: leave the session open (no `Finish`) — crash-recovery
-    /// drills resume it later.
-    no_finish: bool,
-}
-
-impl Default for NetOptions {
-    fn default() -> Self {
-        let defaults = ServerConfig::default();
-        NetOptions {
-            addr: "unix:/tmp/arbalest.sock".into(),
-            shards: 4,
-            queue_cap: 128,
-            chunk: 1024,
-            out: None,
-            quiet: false,
-            format: "text".into(),
-            max_session_bytes: defaults.max_session_bytes,
-            max_inflight: defaults.max_inflight_events,
-            max_frame: defaults.max_frame,
-            idle_timeout: defaults.idle_timeout,
-            request_deadline: defaults.request_deadline,
-            drain_deadline: defaults.drain_deadline,
-            faults: FaultConfig::disabled(),
-            deadline: None,
-            data_dir: None,
-            trace_dir: None,
-            trace: false,
-            snapshot_every_bytes: 0,
-            snapshot_every_events: 0,
-            fsync: arbalest_store::FsyncPolicy::default(),
-            resume: None,
-            take: None,
-            no_finish: false,
-        }
-    }
-}
-
-/// Parse a byte count with an optional `K`/`M`/`G` suffix.
-fn parse_bytes(v: &str) -> Option<u64> {
-    let (num, mult) = match v.as_bytes().last()? {
-        b'K' | b'k' => (&v[..v.len() - 1], 1u64 << 10),
-        b'M' | b'm' => (&v[..v.len() - 1], 1 << 20),
-        b'G' | b'g' => (&v[..v.len() - 1], 1 << 30),
-        _ => (v, 1),
-    };
-    num.parse::<u64>().ok()?.checked_mul(mult)
-}
-
-/// Parse a duration given in (possibly fractional) seconds.
-fn parse_secs(v: &str) -> Option<std::time::Duration> {
-    let secs: f64 = v.parse().ok()?;
-    (secs >= 0.0).then(|| std::time::Duration::from_secs_f64(secs))
-}
-
-fn parse_net_options(args: &[String]) -> Result<NetOptions, String> {
-    let mut opts = NetOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--listen" | "--connect" => {
-                opts.addr = it.next().ok_or(format!("{arg} needs an address"))?.clone();
-            }
-            "--shards" => {
-                opts.shards =
-                    it.next().and_then(|s| s.parse().ok()).ok_or("--shards needs a number")?;
-            }
-            "--queue-cap" => {
-                opts.queue_cap =
-                    it.next().and_then(|s| s.parse().ok()).ok_or("--queue-cap needs a number")?;
-            }
-            "--chunk" => {
-                opts.chunk =
-                    it.next().and_then(|s| s.parse().ok()).ok_or("--chunk needs a number")?;
-            }
-            "-o" => {
-                opts.out = Some(it.next().ok_or("-o needs a file path")?.clone());
-            }
-            "--quiet" => opts.quiet = true,
-            "--format" => {
-                opts.format = match it.next().map(String::as_str) {
-                    Some(f @ ("text" | "prom")) => f.to_string(),
-                    other => return Err(format!("bad --format {other:?} (want text|prom)")),
-                };
-            }
-            "--max-session-bytes" => {
-                opts.max_session_bytes = it
-                    .next()
-                    .and_then(|s| parse_bytes(s))
-                    .ok_or("--max-session-bytes needs a byte count (K/M/G suffix ok)")?;
-            }
-            "--max-inflight" => {
-                opts.max_inflight =
-                    it.next().and_then(|s| s.parse().ok()).ok_or("--max-inflight needs a number")?;
-            }
-            "--max-frame" => {
-                let bytes = it
-                    .next()
-                    .and_then(|s| parse_bytes(s))
-                    .ok_or("--max-frame needs a byte count (K/M/G suffix ok)")?;
-                opts.max_frame = u32::try_from(bytes).map_err(|_| "--max-frame too large")?;
-            }
-            "--idle-timeout" => {
-                opts.idle_timeout = it
-                    .next()
-                    .and_then(|s| parse_secs(s))
-                    .ok_or("--idle-timeout needs seconds")?;
-            }
-            "--request-deadline" => {
-                opts.request_deadline = it
-                    .next()
-                    .and_then(|s| parse_secs(s))
-                    .ok_or("--request-deadline needs seconds")?;
-            }
-            "--drain-deadline" => {
-                opts.drain_deadline = it
-                    .next()
-                    .and_then(|s| parse_secs(s))
-                    .ok_or("--drain-deadline needs seconds")?;
-            }
-            "--faults" => {
-                let v = it.next().ok_or("--faults needs seed=N,rate=P")?;
-                opts.faults = parse_faults(v)?;
-            }
-            "--deadline" => {
-                opts.deadline =
-                    Some(it.next().and_then(|s| parse_secs(s)).ok_or("--deadline needs seconds")?);
-            }
-            "--data-dir" => {
-                opts.data_dir = Some(it.next().ok_or("--data-dir needs a directory")?.clone());
-            }
-            "--trace-dir" => {
-                opts.trace_dir = Some(it.next().ok_or("--trace-dir needs a directory")?.clone());
-            }
-            "--trace" => opts.trace = true,
-            "--snapshot-every-bytes" => {
-                opts.snapshot_every_bytes = it
-                    .next()
-                    .and_then(|s| parse_bytes(s))
-                    .ok_or("--snapshot-every-bytes needs a byte count (K/M/G suffix ok)")?;
-            }
-            "--snapshot-every-events" => {
-                opts.snapshot_every_events = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--snapshot-every-events needs a number")?;
-            }
-            "--fsync-policy" => {
-                let v = it.next().ok_or("--fsync-policy needs always|group[=bytes]|never")?;
-                opts.fsync = v.parse()?;
-            }
-            "--resume" => {
-                opts.resume = Some(
-                    it.next().and_then(|s| s.parse().ok()).ok_or("--resume needs a session id")?,
-                );
-            }
-            "--take" => {
-                opts.take = Some(
-                    it.next().and_then(|s| s.parse().ok()).ok_or("--take needs an event count")?,
-                );
-            }
-            "--no-finish" => opts.no_finish = true,
-            other => return Err(format!("unknown option '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
 /// Why `record`/`submit` could not obtain a benchmark trace. Typed so the
 /// caller can name the offending id in its message and pick the
 /// usage-error exit code (2) over the runtime-failure one.
@@ -1571,7 +1462,7 @@ fn load_events(target: &str) -> Result<Vec<TraceEvent>, String> {
     })
 }
 
-fn cmd_serve(opts: &NetOptions) -> ExitCode {
+fn cmd_serve(opts: &Options) -> ExitCode {
     let addr = ListenAddr::parse(&opts.addr);
     let cfg = ServerConfig {
         shards: opts.shards,
@@ -1623,7 +1514,7 @@ fn cmd_serve(opts: &NetOptions) -> ExitCode {
     }
 }
 
-fn connect(opts: &NetOptions) -> Result<Client, String> {
+fn connect(opts: &Options) -> Result<Client, String> {
     let addr = ListenAddr::parse(&opts.addr);
     let client = Client::connect(&addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     Ok(match opts.deadline {
@@ -1632,7 +1523,7 @@ fn connect(opts: &NetOptions) -> Result<Client, String> {
     })
 }
 
-fn cmd_submit(target: &str, opts: &NetOptions) -> ExitCode {
+fn cmd_submit(target: &str, opts: &Options) -> ExitCode {
     let events = match load_events(target) {
         Ok(ev) => ev,
         Err(e) => {
@@ -1709,7 +1600,7 @@ fn cmd_submit(target: &str, opts: &NetOptions) -> ExitCode {
     }
 }
 
-fn cmd_record(target: &str, opts: &NetOptions) -> ExitCode {
+fn cmd_record(target: &str, opts: &Options) -> ExitCode {
     let Some(out) = &opts.out else {
         eprintln!("record needs -o <file>");
         return ExitCode::from(2);
@@ -1733,8 +1624,8 @@ fn cmd_record(target: &str, opts: &NetOptions) -> ExitCode {
     }
 }
 
-fn cmd_stats(opts: &NetOptions) -> ExitCode {
-    if opts.format == "prom" {
+fn cmd_stats(opts: &Options) -> ExitCode {
+    if opts.format == OutputFormat::Prom {
         // The Prometheus export reads the same registry cells the binary
         // STATS snapshot does; print it verbatim for scrapers.
         return match connect(opts).and_then(|mut c| c.metrics().map_err(|e| e.to_string())) {
@@ -1909,7 +1800,7 @@ fn cmd_store_compact(dir: &str) -> ExitCode {
     }
 }
 
-fn cmd_stop(opts: &NetOptions) -> ExitCode {
+fn cmd_stop(opts: &Options) -> ExitCode {
     let result = connect(opts).and_then(|mut c| c.shutdown_server().map_err(|e| e.to_string()));
     match result {
         Ok(()) => {
@@ -1925,97 +1816,72 @@ fn cmd_stop(opts: &NetOptions) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { return usage() };
-    match cmd.as_str() {
-        "list" => cmd_list(),
-        "serve" | "stats" | "stop" => {
-            let opts = match parse_net_options(&args[1..]) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("error: {e}\n");
-                    return usage();
-                }
-            };
-            match cmd.as_str() {
-                "serve" => cmd_serve(&opts),
-                "stats" => cmd_stats(&opts),
-                _ => cmd_stop(&opts),
+    let Some(cmd) = args.first().map(String::as_str) else { return usage() };
+    // Commands that take flags: the ones with a positional target parse
+    // the flags after it.
+    let flags = match cmd {
+        "serve" | "stats" | "stop" | "fuzz-lint" => &args[1..],
+        "dracc" | "spec" | "lint" | "fix" | "optimize" | "certify" | "profile" | "explain"
+        | "submit" | "record" => {
+            if args.len() < 2 {
+                return usage();
             }
+            &args[2..]
         }
+        "list" => return cmd_list(),
         "store" => {
             let (Some(action), Some(dir)) = (args.get(1), args.get(2)) else {
                 eprintln!("usage: arbalest store <inspect|compact> <data-dir>\n");
                 return usage();
             };
-            match action.as_str() {
+            return match action.as_str() {
                 "inspect" => cmd_store_inspect(dir),
                 "compact" => cmd_store_compact(dir),
                 other => {
                     eprintln!("unknown store action '{other}' (want inspect|compact)\n");
                     usage()
                 }
-            }
-        }
-        "submit" | "record" => {
-            let Some(target) = args.get(1) else { return usage() };
-            let opts = match parse_net_options(&args[2..]) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("error: {e}\n");
-                    return usage();
-                }
             };
-            if cmd == "submit" {
-                cmd_submit(target, &opts)
-            } else {
-                cmd_record(target, &opts)
-            }
         }
-        "fuzz-lint" => {
-            let opts = match parse_options(&args[1..]) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("error: {e}\n");
-                    return usage();
-                }
-            };
-            cmd_fuzz_lint(&opts)
-        }
-        "check-prom" => cmd_check_prom(args.get(1).map(String::as_str)),
+        "check-prom" => return cmd_check_prom(args.get(1).map(String::as_str)),
         "check-trace" => {
             let Some(path) = args.get(1) else {
                 eprintln!("check-trace needs a trace file\n");
                 return usage();
             };
-            cmd_check_trace(path)
-        }
-        "dracc" | "spec" | "lint" | "fix" | "optimize" | "certify" | "profile" | "explain" => {
-            let Some(target) = args.get(1) else { return usage() };
-            let opts = match parse_options(&args[2..]) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("error: {e}\n");
-                    return usage();
-                }
-            };
-            match cmd.as_str() {
-                "dracc" => cmd_dracc(target, &opts),
-                "spec" => cmd_spec(target, &opts),
-                "lint" => cmd_lint(target, &opts),
-                "fix" => cmd_fix(target, &opts),
-                "optimize" => cmd_optimize(target, &opts),
-                "profile" => cmd_profile(target, &opts),
-                "explain" => cmd_explain(target, &opts),
-                _ => cmd_certify(target, &opts),
-            }
+            return cmd_check_trace(path);
         }
         "--help" | "-h" | "help" => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
         other => {
             eprintln!("unknown command '{other}'\n");
-            usage()
+            return usage();
         }
+    };
+    let opts = match parse_options(cmd, flags) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("error: {e}\n");
+            return usage();
+        }
+    };
+    let target = args.get(1).map_or("", String::as_str);
+    match cmd {
+        "serve" => cmd_serve(&opts),
+        "stats" => cmd_stats(&opts),
+        "stop" => cmd_stop(&opts),
+        "fuzz-lint" => cmd_fuzz_lint(&opts),
+        "dracc" => cmd_dracc(target, &opts),
+        "spec" => cmd_spec(target, &opts),
+        "lint" => cmd_lint(target, &opts),
+        "fix" => cmd_fix(target, &opts),
+        "optimize" => cmd_optimize(target, &opts),
+        "certify" => cmd_certify(target, &opts),
+        "profile" => cmd_profile(target, &opts),
+        "explain" => cmd_explain(target, &opts),
+        "submit" => cmd_submit(target, &opts),
+        _ => cmd_record(target, &opts),
     }
 }

@@ -80,6 +80,54 @@ fn bad_usage_is_a_clean_error() {
     assert!(stderr.contains("unknown command"));
 }
 
+/// Exit code and stderr of one invocation.
+fn exit_code(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_arbalest"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn format_a_command_cannot_emit_is_a_usage_error() {
+    let mut cases = vec![(vec!["stats", "--format", "json"], "--format json")];
+    for cmd in ["dracc", "spec", "lint", "fix", "optimize", "certify", "profile", "explain"] {
+        cases.push((vec![cmd, "22", "--format", "prom"], "--format prom"));
+    }
+    cases.push((vec!["fuzz-lint", "--format", "prom"], "--format prom"));
+    for (args, message) in cases {
+        let (code, stderr) = exit_code(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn bad_flags_are_refused_and_unread_ones_ignored() {
+    for (args, message) in [
+        (&["dracc", "22", "--frobnicate"][..], "unknown option '--frobnicate'"),
+        (&["serve", "--frobnicate"], "unknown option '--frobnicate'"),
+        (&["serve", "--idle-timeout", "inf"], "--idle-timeout needs seconds"),
+    ] {
+        let (code, stderr) = exit_code(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    // A flag of another command is accepted and has no effect.
+    let (ok, stdout, _) = run(&["dracc", "22", "--quiet", "--listen", "x"]);
+    assert!(ok);
+    assert!(stdout.contains("DETECTED"), "{stdout}");
+}
+
+#[test]
+fn valgrind_names_the_memcheck_model() {
+    let (ok, stdout, _) = run(&["dracc", "23", "--tool", "valgrind"]);
+    assert!(ok, "memcheck catches the BO row");
+    assert!(stdout.contains("SUMMARY: Memcheck: heap-overflow"), "{stdout}");
+    assert!(stdout.contains("valgrind     1 report(s)  DETECTED"), "{stdout}");
+}
+
 #[test]
 fn unified_mode_changes_verdict() {
     // Benchmark 26's staleness disappears under unified memory (§III-B):

@@ -8,29 +8,14 @@
 //! | 26, 27, 32, 33, 34     | USD    | ✓        | -        | -      | -    | -    |
 //! | 40 correct benchmarks  | —      | no false positives from any tool |
 
-use arbalest_baselines::{AddressSanitizer, Archer, Memcheck, MemorySanitizer};
-use arbalest_core::{Arbalest, ArbalestConfig};
+use arbalest_baselines::by_name;
+use arbalest_obs::Registry;
 use arbalest_offload::prelude::*;
-use std::sync::Arc;
-
-fn tool_instances() -> Vec<(&'static str, Arc<dyn Tool>)> {
-    vec![
-        ("arbalest", Arc::new(Arbalest::new(ArbalestConfig::default()))),
-        ("memcheck", Arc::new(Memcheck::new())),
-        ("archer", Arc::new(Archer::new())),
-        ("asan", Arc::new(AddressSanitizer::new())),
-        ("msan", Arc::new(MemorySanitizer::new())),
-    ]
-}
 
 /// Run one benchmark under one tool; return whether the tool credited the
 /// benchmark's seeded effect (or reported anything, for correct ones).
 fn detections(bench: &arbalest_dracc::Benchmark, tool_name: &'static str) -> Vec<Report> {
-    let tool = tool_instances()
-        .into_iter()
-        .find(|(n, _)| *n == tool_name)
-        .expect("known tool")
-        .1;
+    let tool = by_name(tool_name, &Registry::new()).expect("known tool");
     let rt = Runtime::with_tool(Config::default(), tool);
     bench.run(&rt);
     rt.reports()

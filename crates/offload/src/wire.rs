@@ -469,49 +469,23 @@ fn get_opt_str(cur: &mut Cursor<'_>) -> Result<Option<String>, WireError> {
 }
 
 /// Number of [`ReportKind`] variants. Sizes every per-kind counter array
-/// (server stats, wire snapshots) so adding a kind cannot silently
-/// truncate counters — extend [`REPORT_KINDS`] and the match arms in
-/// [`report_kind_tag`]/[`report_kind`] together and the tests below
-/// enforce they stay a bijection over `0..REPORT_KIND_COUNT`.
-pub const REPORT_KIND_COUNT: usize = REPORT_KINDS.len();
+/// (server stats, wire snapshots); a kind's tag is its index in
+/// [`ReportKind::ALL`], so the tags stay a bijection over
+/// `0..REPORT_KIND_COUNT` as kinds are added.
+pub const REPORT_KIND_COUNT: usize = ReportKind::ALL.len();
 
-/// Every report kind, indexed by its wire tag.
-pub const REPORT_KINDS: [ReportKind; 7] = [
-    ReportKind::MappingUum,
-    ReportKind::MappingUsd,
-    ReportKind::MappingOverflow,
-    ReportKind::DataRace,
-    ReportKind::UninitRead,
-    ReportKind::HeapOverflow,
-    ReportKind::UseAfterFree,
-];
-
-/// Stable tag byte of a [`ReportKind`] (also the index used by the
-/// server's per-kind report counters).
+/// Stable tag byte of a [`ReportKind`]: its index in [`ReportKind::ALL`]
+/// (also the index used by the server's per-kind report counters).
 pub fn report_kind_tag(kind: ReportKind) -> u8 {
-    match kind {
-        ReportKind::MappingUum => 0,
-        ReportKind::MappingUsd => 1,
-        ReportKind::MappingOverflow => 2,
-        ReportKind::DataRace => 3,
-        ReportKind::UninitRead => 4,
-        ReportKind::HeapOverflow => 5,
-        ReportKind::UseAfterFree => 6,
-    }
+    ReportKind::ALL.iter().position(|&k| k == kind).expect("ReportKind::ALL lists every kind") as u8
 }
 
 /// Decode a [`ReportKind`] tag byte.
 pub fn report_kind(tag: u8) -> Result<ReportKind, WireError> {
-    Ok(match tag {
-        0 => ReportKind::MappingUum,
-        1 => ReportKind::MappingUsd,
-        2 => ReportKind::MappingOverflow,
-        3 => ReportKind::DataRace,
-        4 => ReportKind::UninitRead,
-        5 => ReportKind::HeapOverflow,
-        6 => ReportKind::UseAfterFree,
-        tag => return Err(WireError::BadTag { what: "ReportKind", tag }),
-    })
+    ReportKind::ALL
+        .get(usize::from(tag))
+        .copied()
+        .ok_or(WireError::BadTag { what: "ReportKind", tag })
 }
 
 /// Serialize one report.
@@ -784,17 +758,14 @@ mod tests {
 
     #[test]
     fn report_kind_tags_are_a_bijection_over_the_count() {
-        // Every kind's tag indexes REPORT_KINDS back to itself, so a
+        // Every kind's tag indexes ReportKind::ALL back to itself, so a
         // per-kind counter array of REPORT_KIND_COUNT cells can never be
         // indexed out of range or silently alias two kinds.
-        for (i, &kind) in REPORT_KINDS.iter().enumerate() {
+        for (i, &kind) in ReportKind::ALL.iter().enumerate() {
             assert_eq!(report_kind_tag(kind) as usize, i, "{kind:?}");
             assert_eq!(report_kind(i as u8), Ok(kind));
         }
-        // The first tag past the table must be rejected; if someone adds
-        // a variant without growing REPORT_KINDS, the exhaustive match in
-        // report_kind_tag stops compiling and this assertion catches a
-        // half-done wiring job.
+        // The first tag past the table must be rejected.
         assert!(matches!(
             report_kind(REPORT_KIND_COUNT as u8),
             Err(WireError::BadTag { what: "ReportKind", .. })

@@ -347,9 +347,9 @@ fn trailing_garbage_is_rejected() {
 // type-tag assignment is a bijection, and truncation or corruption of any
 // frame yields a typed error — never a panic. Covers the frames added
 // after the original protocol (Metrics 0x06, MetricsReply 0x88,
-// SessionFailed 0x89), the durability admin pair (Export 0x07 /
-// Import 0x08 with their replies 0x8A / 0x8B), and the tracing admin
-// pair (TraceSnapshot 0x09 / TraceSnapshotReply 0x8C).
+// SessionFailed 0x89) and the tracing admin pair (TraceSnapshot 0x09 /
+// TraceSnapshotReply 0x8C); the retired migration tags (0x07, 0x08,
+// 0x8A, 0x8B) must be refused.
 // ---------------------------------------------------------------------------
 
 use arbalest_server::proto::{Frame, ProtoError, StatsSnapshot, WIRE_VERSION};
@@ -377,8 +377,6 @@ fn frame_exemplars() -> Vec<(u8, Frame)> {
         (0x04, Frame::Stats),
         (0x05, Frame::Shutdown),
         (0x06, Frame::Metrics),
-        (0x07, Frame::Export),
-        (0x08, Frame::Import { state: vec![0xAB, 0x55, 0x00, 0x01] }),
         (0x09, Frame::TraceSnapshot),
         (0x81, Frame::HelloAck { version: WIRE_VERSION, shards: 8, session: 42 }),
         (0x82, Frame::EventsAck { accepted: 1024 }),
@@ -409,8 +407,6 @@ fn frame_exemplars() -> Vec<(u8, Frame)> {
         ),
         (0x89, Frame::SessionFailed(SessionFailure::IdleTimeout { limit_ms: 120_000 })),
         (0x89, Frame::SessionFailed(SessionFailure::DeadlineExceeded { limit_ms: 30_000 })),
-        (0x8A, Frame::ExportReply { state: vec![b'A', b'B', b'S', b'S', 1, 0] }),
-        (0x8B, Frame::ImportReply { session: u64::MAX }),
         (0x8C, Frame::TraceSnapshotReply(Vec::new())),
         (
             0x8C,
@@ -467,11 +463,12 @@ fn frame_tag_assignment_is_a_bijection() {
         }
     }
     assert_eq!(tag_to_label.len(), label_to_tag.len());
+    assert_eq!(tag_to_label.len(), 17, "every frame type has an exemplar");
 }
 
 #[test]
 fn unknown_frame_tags_are_typed_errors() {
-    for tag in [0x00u8, 0x0A, 0x7F, 0x80, 0x8D, 0xFF] {
+    for tag in [0x00u8, 0x07, 0x08, 0x0A, 0x7F, 0x80, 0x8A, 0x8B, 0x8D, 0xFF] {
         let bytes = [2u32.to_le_bytes().as_slice(), &[tag, 0]].concat();
         match decode_frame(&bytes) {
             Err(ProtoError::Wire(WireError::BadTag { .. })) => {}

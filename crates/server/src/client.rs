@@ -91,9 +91,10 @@ impl Client {
         self.hello_resume(None)
     }
 
-    /// Open a fresh session (`resume: None`) or reattach to a durable or
-    /// imported one by id. On a resumed session, [`Client::stats`] reports
-    /// `session_events` — the index the next submitted event should have.
+    /// Open a fresh session (`resume: None`) or reattach to a durable one
+    /// by id (the server must run with a data directory). On a resumed
+    /// session, [`Client::stats`] reports `session_events` — the index
+    /// the next submitted event should have.
     pub fn hello_resume(&mut self, resume: Option<u64>) -> Result<u64, ProtoError> {
         match self.call(&Frame::Hello { version: WIRE_VERSION, resume })? {
             Frame::HelloAck { session, .. } => {
@@ -197,26 +198,6 @@ impl Client {
         match self.call(&Frame::Metrics)? {
             Frame::MetricsReply(text) => Ok(text),
             _ => Err(ProtoError::Unexpected("wanted MetricsReply")),
-        }
-    }
-
-    /// Snapshot the open session's full analysis state as portable bytes
-    /// (the store's versioned snapshot format). Non-destructive; every
-    /// batch acked before the call is included.
-    pub fn export(&mut self) -> Result<Vec<u8>, ProtoError> {
-        match self.call(&Frame::Export)? {
-            Frame::ExportReply { state } => Ok(state),
-            _ => Err(ProtoError::Unexpected("wanted ExportReply")),
-        }
-    }
-
-    /// Install exported state as a new session on this server; returns the
-    /// new session id. The session is not bound to this connection —
-    /// attach to it with [`Client::hello_resume`].
-    pub fn import(&mut self, state: &[u8]) -> Result<u64, ProtoError> {
-        match self.call(&Frame::Import { state: state.to_vec() })? {
-            Frame::ImportReply { session } => Ok(session),
-            _ => Err(ProtoError::Unexpected("wanted ImportReply")),
         }
     }
 

@@ -168,9 +168,8 @@ impl StatsSnapshot {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client → server: open a session. Carries the client's wire version
-    /// and, optionally, a durable session id to resume. A bare 2-byte
-    /// payload (the pre-durability encoding) decodes as `resume: None`,
-    /// so old clients keep working.
+    /// and, optionally, a durable session id to resume (a tag byte, then
+    /// the id when the tag is 1).
     Hello {
         /// The client's [`WIRE_VERSION`].
         version: u16,
@@ -179,10 +178,9 @@ pub enum Frame {
     },
     /// Client → server: a batch of trace events for the open session.
     /// Optionally stamped with the client's [`SpanContext`] for the
-    /// submit, so server-side work (shard job, WAL append, detector feed)
-    /// joins the client's causal trace tree. A bare event-batch payload
-    /// (the pre-tracing encoding) decodes as `ctx: None`, so old clients
-    /// keep working.
+    /// submit (a tag byte after the batch, then the context when the tag
+    /// is 1), so server-side work (shard job, WAL append, detector feed)
+    /// joins the client's causal trace tree.
     Events {
         /// The trace events.
         events: Vec<TraceEvent>,
@@ -198,20 +196,9 @@ pub enum Frame {
     /// Client → server: request the full metrics registry rendered as
     /// Prometheus text exposition format.
     Metrics,
-    /// Client → server: serialize the open session's full analysis state
-    /// (the versioned snapshot bytes) for migration. Non-destructive —
-    /// the session keeps running.
-    Export,
     /// Client → server: pull the server's recent span tree (the bounded
     /// server-global span buffer) for remote trace inspection.
     TraceSnapshot,
-    /// Client → server: install exported snapshot bytes as a *new*
-    /// session on this server (the migration receive side).
-    Import {
-        /// Snapshot bytes produced by an `ExportReply` (or a snapshot
-        /// file from a data directory — same format).
-        state: Vec<u8>,
-    },
     /// Server → client: session opened.
     HelloAck {
         /// Server's wire version.
@@ -250,17 +237,6 @@ pub enum Frame {
     /// machine-readable, so clients and soak harnesses can assert the
     /// exact failure class.
     SessionFailed(SessionFailure),
-    /// Server → client: the open session's snapshot bytes (answer to
-    /// [`Frame::Export`]).
-    ExportReply {
-        /// Versioned snapshot bytes (`arbalest-store` format).
-        state: Vec<u8>,
-    },
-    /// Server → client: an [`Frame::Import`] was installed.
-    ImportReply {
-        /// Session id assigned to the imported state.
-        session: u64,
-    },
     /// Server → client: the server's recent spans (answer to
     /// [`Frame::TraceSnapshot`]), oldest first.
     TraceSnapshotReply(Vec<SpanEvent>),
@@ -275,8 +251,6 @@ impl Frame {
             Frame::Stats => 0x04,
             Frame::Shutdown => 0x05,
             Frame::Metrics => 0x06,
-            Frame::Export => 0x07,
-            Frame::Import { .. } => 0x08,
             Frame::TraceSnapshot => 0x09,
             Frame::HelloAck { .. } => 0x81,
             Frame::EventsAck { .. } => 0x82,
@@ -287,8 +261,6 @@ impl Frame {
             Frame::Error { .. } => 0x87,
             Frame::MetricsReply(_) => 0x88,
             Frame::SessionFailed(_) => 0x89,
-            Frame::ExportReply { .. } => 0x8A,
-            Frame::ImportReply { .. } => 0x8B,
             Frame::TraceSnapshotReply(_) => 0x8C,
         }
     }
@@ -303,8 +275,6 @@ impl Frame {
             Frame::Stats => "stats",
             Frame::Shutdown => "shutdown",
             Frame::Metrics => "metrics",
-            Frame::Export => "export",
-            Frame::Import { .. } => "import",
             Frame::TraceSnapshot => "trace_snapshot",
             Frame::HelloAck { .. } => "hello_ack",
             Frame::EventsAck { .. } => "events_ack",
@@ -315,8 +285,6 @@ impl Frame {
             Frame::Error { .. } => "error",
             Frame::MetricsReply(_) => "metrics_reply",
             Frame::SessionFailed(_) => "session_failed",
-            Frame::ExportReply { .. } => "export_reply",
-            Frame::ImportReply { .. } => "import_reply",
             Frame::TraceSnapshotReply(_) => "trace_snapshot_reply",
         }
     }
@@ -325,17 +293,23 @@ impl Frame {
         match self {
             Frame::Hello { version, resume } => {
                 let mut out = version.to_le_bytes().to_vec();
-                if let Some(id) = resume {
-                    out.push(1);
-                    out.extend_from_slice(&id.to_le_bytes());
+                match resume {
+                    Some(id) => {
+                        out.push(1);
+                        out.extend_from_slice(&id.to_le_bytes());
+                    }
+                    None => out.push(0),
                 }
                 out
             }
             Frame::Events { events, ctx } => {
                 let mut out = wire::encode_events(events);
-                if let Some(ctx) = ctx {
-                    out.push(1);
-                    wire::put_span_context(&mut out, *ctx);
+                match ctx {
+                    Some(ctx) => {
+                        out.push(1);
+                        wire::put_span_context(&mut out, *ctx);
+                    }
+                    None => out.push(0),
                 }
                 out
             }
@@ -343,11 +317,8 @@ impl Frame {
             | Frame::Stats
             | Frame::Shutdown
             | Frame::Metrics
-            | Frame::Export
             | Frame::TraceSnapshot
             | Frame::Ok => Vec::new(),
-            Frame::Import { state } | Frame::ExportReply { state } => state.clone(),
-            Frame::ImportReply { session } => session.to_le_bytes().to_vec(),
             Frame::HelloAck { version, shards, session } => {
                 let mut out = Vec::with_capacity(12);
                 out.extend_from_slice(&version.to_le_bytes());
@@ -387,33 +358,19 @@ impl Frame {
         let frame = match ty {
             0x01 => {
                 let version = cur.u16()?;
-                let resume = if cur.is_empty() {
-                    None
-                } else {
-                    match cur.u8()? {
-                        0 => None,
-                        1 => Some(cur.u64()?),
-                        tag => {
-                            return Err(WireError::BadTag { what: "Hello resume", tag }.into())
-                        }
-                    }
+                let resume = match cur.u8()? {
+                    0 => None,
+                    1 => Some(cur.u64()?),
+                    tag => return Err(WireError::BadTag { what: "Hello resume", tag }.into()),
                 };
                 Frame::Hello { version, resume }
             }
             0x02 => {
                 let events = wire::decode_events(&mut cur)?;
-                // Trailing span-context extension (same backward-compatible
-                // trick as `Hello{resume}`): absent bytes mean untraced.
-                let ctx = if cur.is_empty() {
-                    None
-                } else {
-                    match cur.u8()? {
-                        0 => None,
-                        1 => Some(wire::get_span_context(&mut cur)?),
-                        tag => {
-                            return Err(WireError::BadTag { what: "Events ctx", tag }.into())
-                        }
-                    }
+                let ctx = match cur.u8()? {
+                    0 => None,
+                    1 => Some(wire::get_span_context(&mut cur)?),
+                    tag => return Err(WireError::BadTag { what: "Events ctx", tag }.into()),
                 };
                 Frame::Events { events, ctx }
             }
@@ -421,13 +378,7 @@ impl Frame {
             0x04 => Frame::Stats,
             0x05 => Frame::Shutdown,
             0x06 => Frame::Metrics,
-            // Snapshot bytes carry their own magic/version/CRC, so the
-            // frame layer passes them through opaque.
-            0x07 => Frame::Export,
             0x09 => Frame::TraceSnapshot,
-            0x08 => return Ok(Frame::Import { state: payload.to_vec() }),
-            0x8A => return Ok(Frame::ExportReply { state: payload.to_vec() }),
-            0x8B => Frame::ImportReply { session: cur.u64()? },
             0x81 => Frame::HelloAck { version: cur.u16()?, shards: cur.u16()?, session: cur.u64()? },
             0x82 => Frame::EventsAck { accepted: cur.u32()? },
             0x83 => Frame::Busy { queue_depth: cur.u32()? },
@@ -593,16 +544,12 @@ mod tests {
             Frame::Stats,
             Frame::Shutdown,
             Frame::Metrics,
-            Frame::Export,
-            Frame::Import { state: vec![0xAB, 0x55, 0x00, 0x01] },
             Frame::HelloAck { version: 1, shards: 4, session: 99 },
             Frame::EventsAck { accepted: 512 },
             Frame::Busy { queue_depth: 7 },
             Frame::Ok,
             Frame::Error { message: "no session open".into() },
             Frame::MetricsReply("# TYPE arbalest_server_events_received_total counter\n".into()),
-            Frame::ExportReply { state: vec![1, 2, 3] },
-            Frame::ImportReply { session: 17 },
         ] {
             assert_eq!(round_trip(f.clone()), f);
         }
@@ -620,18 +567,23 @@ mod tests {
     }
 
     #[test]
-    fn bare_events_payload_still_decodes_as_untraced() {
-        // The pre-tracing Events frame: just the count-prefixed batch.
-        let payload = wire::encode_events(&[]);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(1 + payload.len() as u32).to_le_bytes());
-        bytes.push(0x02);
-        bytes.extend_from_slice(&payload);
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert_eq!(
-            Frame::read_from(&mut cursor, &mut || true).unwrap(),
-            Frame::Events { events: vec![], ctx: None }
-        );
+    fn tagless_hello_and_events_payloads_are_truncated() {
+        // A Hello without its resume tag (two version bytes) and an
+        // Events frame without its ctx tag (just the count-prefixed
+        // batch) both stop one byte short of a frame.
+        for (ty, payload) in
+            [(0x01, WIRE_VERSION.to_le_bytes().to_vec()), (0x02, wire::encode_events(&[]))]
+        {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&(1 + payload.len() as u32).to_le_bytes());
+            bytes.push(ty);
+            bytes.extend_from_slice(&payload);
+            let err = Frame::read_from(&mut std::io::Cursor::new(bytes), &mut || true).unwrap_err();
+            assert!(
+                matches!(err, ProtoError::Wire(WireError::Truncated { .. })),
+                "type {ty:#04x}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -648,20 +600,6 @@ mod tests {
         for f in [Frame::TraceSnapshot, Frame::TraceSnapshotReply(events)] {
             assert_eq!(round_trip(f.clone()), f);
         }
-    }
-
-    #[test]
-    fn bare_hello_payload_still_decodes_as_no_resume() {
-        // The pre-durability Hello: len 3, type 0x01, two version bytes.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&3u32.to_le_bytes());
-        bytes.push(0x01);
-        bytes.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert_eq!(
-            Frame::read_from(&mut cursor, &mut || true).unwrap(),
-            Frame::Hello { version: WIRE_VERSION, resume: None }
-        );
     }
 
     #[test]

@@ -12,9 +12,9 @@ use crate::proto::{Frame, ProtoError, WIRE_VERSION};
 use crate::shard::ShardPool;
 use crate::stats::GlobalStats;
 use crate::tracesink::TraceSink;
-use arbalest_core::{AnalysisSession, ArbalestConfig};
+use arbalest_core::ArbalestConfig;
 use arbalest_obs::{Counter, Registry};
-use arbalest_store::{decode_session_snapshot, SessionLog, Store};
+use arbalest_store::{SessionLog, Store};
 use arbalest_sync::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -217,7 +217,7 @@ struct Shared {
 /// Wire-layer counters shared by every connection handler.
 struct WireMetrics {
     /// Decoded client frames, labelled by frame type.
-    frames: [(&'static str, Counter); 9],
+    frames: [(&'static str, Counter); 7],
     /// Bytes read off client connections.
     rx_bytes: Counter,
 }
@@ -233,8 +233,6 @@ impl WireMetrics {
                 "stats",
                 "shutdown",
                 "metrics",
-                "export",
-                "import",
                 "trace_snapshot",
             ]
             .map(|ty| (ty, c(ty))),
@@ -522,34 +520,28 @@ enum ReapReason {
     Deadline,
 }
 
-/// Rebuild a resumed session's state. With a durable store and an
-/// on-disk directory, disk is the authority: drop any in-memory state
-/// and re-derive it from snapshot + WAL so the append point and the
-/// analyzer agree exactly. Otherwise fall back to live pool state
-/// (covers `Import`ed sessions on storeless servers).
+/// Rebuild a resumed session's state on a durable server. Disk is the
+/// authority: drop any in-memory state and re-derive it from snapshot +
+/// WAL so the append point and the analyzer agree exactly.
 fn resume_session(
-    shared: &Arc<Shared>,
-    pool: &Arc<ShardPool>,
+    store: &Store,
+    shared: &Shared,
+    pool: &ShardPool,
     id: u64,
-) -> Result<(u64, Option<SessionLog>), String> {
-    if let Some(store) = &shared.store {
-        if store.session_dir(id).exists() {
-            pool.drop_session(id);
-            let rec = store
-                .recover_session(id, &shared.detector, &shared.registry)
-                .map_err(|e| format!("recover session {id}: {e}"))?;
-            let events = rec.events;
-            pool.adopt_session(id, rec.session);
-            let log = store
-                .open_log(id, events)
-                .map_err(|e| format!("open WAL for session {id}: {e}"))?;
-            return Ok((events, Some(log)));
-        }
+) -> Result<(u64, SessionLog), String> {
+    if !store.session_dir(id).exists() {
+        return Err(format!("unknown session {id}"));
     }
-    match pool.session_events(id) {
-        Some(n) => Ok((n, None)),
-        None => Err(format!("unknown session {id}")),
-    }
+    pool.drop_session(id);
+    let rec = store
+        .recover_session(id, &shared.detector, &shared.registry)
+        .map_err(|e| format!("recover session {id}: {e}"))?;
+    let events = rec.events;
+    pool.adopt_session(id, rec.session);
+    let log = store
+        .open_log(id, events)
+        .map_err(|e| format!("open WAL for session {id}: {e}"))?;
+    Ok((events, log))
 }
 
 fn handle_connection(mut stream: Stream, shared: &Arc<Shared>, pool: &Arc<ShardPool>) {
@@ -650,8 +642,8 @@ fn handle_connection(mut stream: Stream, shared: &Arc<Shared>, pool: &Arc<ShardP
                 } else if shared.stopping() {
                     Err("server is shutting down".into())
                 } else {
-                    match resume {
-                        None => {
+                    match (resume, &shared.store) {
+                        (None, _) => {
                             let id = pool.open_session();
                             // Before acking, make sure the WAL is
                             // writable: an event acked without a durable
@@ -678,30 +670,34 @@ fn handle_connection(mut stream: Stream, shared: &Arc<Shared>, pool: &Arc<ShardP
                                 Err(message) => Err(message),
                             }
                         }
-                        Some(id) => {
-                            // Two connections on one session would
-                            // interleave WAL appends; first writer wins.
-                            if !shared.attached.lock().insert(id) {
-                                Err(format!("session {id} is attached to another connection"))
-                            } else {
-                                match resume_session(shared, pool, id) {
-                                    Ok((events, l)) => {
-                                        session = Some(id);
-                                        session_events = events;
-                                        log = l;
-                                        Ok(Frame::HelloAck {
-                                            version: WIRE_VERSION,
-                                            shards: pool.shards() as u16,
-                                            session: id,
-                                        })
-                                    }
-                                    Err(message) => {
-                                        shared.attached.lock().remove(&id);
-                                        Err(message)
-                                    }
-                                }
-                            }
+                        // Without a data directory a dropped session is
+                        // gone (its `Abort` may still be queued), so there
+                        // is nothing sound to attach to.
+                        (Some(id), None) => Err(format!(
+                            "cannot resume session {id}: resuming needs a durable server \
+                             (serve --data-dir)"
+                        )),
+                        // Two connections on one session would interleave
+                        // WAL appends; first writer wins.
+                        (Some(id), Some(_)) if !shared.attached.lock().insert(id) => {
+                            Err(format!("session {id} is attached to another connection"))
                         }
+                        (Some(id), Some(store)) => match resume_session(store, shared, pool, id) {
+                            Ok((events, l)) => {
+                                session = Some(id);
+                                session_events = events;
+                                log = Some(l);
+                                Ok(Frame::HelloAck {
+                                    version: WIRE_VERSION,
+                                    shards: pool.shards() as u16,
+                                    session: id,
+                                })
+                            }
+                            Err(message) => {
+                                shared.attached.lock().remove(&id);
+                                Err(message)
+                            }
+                        },
                     }
                 }
             }
@@ -815,62 +811,6 @@ fn handle_connection(mut stream: Stream, shared: &Arc<Shared>, pool: &Arc<ShardP
                     }
                 }
             },
-            Frame::Export => match session {
-                None => Err("Export before Hello".into()),
-                Some(id) => {
-                    let result = match pool.submit_export(id).recv() {
-                        Ok(r) => Ok(r),
-                        // Same two-shot retry as Finish: a worker unwind
-                        // drops the reply sender but the supervisor
-                        // restarts the shard.
-                        Err(_) => pool.submit_export(id).recv(),
-                    };
-                    match result {
-                        Ok(Ok(state)) => Ok(Frame::ExportReply { state }),
-                        Ok(Err(failure)) => Ok(Frame::SessionFailed(failure)),
-                        Err(_) => Err("analysis shard terminated".into()),
-                    }
-                }
-            },
-            Frame::Import { state } => {
-                if shared.stopping() {
-                    Err("server is shutting down".into())
-                } else {
-                    // Validate fully before any state is created; a
-                    // rejected import leaves no trace.
-                    match decode_session_snapshot(&state)
-                        .map_err(|e| format!("import rejected: {e}"))
-                        .and_then(|snap| {
-                            AnalysisSession::from_snapshot(&snap, shared.registry.clone())
-                                .map(|restored| (snap, restored))
-                                .map_err(|e| format!("import rejected: {e}"))
-                        }) {
-                        Err(message) => Err(message),
-                        Ok((snap, restored)) => {
-                            let id = pool.allocate_session_id();
-                            // Imported sessions become durable immediately
-                            // so a crash before the first resume still
-                            // recovers them.
-                            let persisted = match &shared.store {
-                                Some(store) => store
-                                    .write_snapshot(id, &snap)
-                                    .map(|_| ())
-                                    .map_err(|e| format!("persist import: {e}")),
-                                None => Ok(()),
-                            };
-                            match persisted {
-                                Ok(()) => {
-                                    pool.adopt_session(id, restored);
-                                    // Not bound to this connection: the
-                                    // client attaches via Hello{resume}.
-                                    Ok(Frame::ImportReply { session: id })
-                                }
-                                Err(message) => Err(message),
-                            }
-                        }
-                    }
-                }
-            }
             Frame::Stats => Ok(Frame::StatsReply(
                 shared.stats.snapshot(pool.queue_depths(), session_events),
             )),
@@ -896,8 +836,6 @@ fn handle_connection(mut stream: Stream, shared: &Arc<Shared>, pool: &Arc<ShardP
             | Frame::Error { .. }
             | Frame::MetricsReply(_)
             | Frame::SessionFailed(_)
-            | Frame::ExportReply { .. }
-            | Frame::ImportReply { .. }
             | Frame::TraceSnapshotReply(_) => Err("client sent a server-role frame".into()),
         };
 

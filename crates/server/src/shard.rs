@@ -61,18 +61,12 @@ pub(crate) enum Job {
     /// first, so the snapshot's event count is exact. `ctx` is the span
     /// context of the batch whose append tripped the trigger.
     Snapshot { session: u64, ctx: Option<SpanContext>, queued: Instant },
-    /// Serialize the session's state (non-destructively) for migration.
-    Export { session: u64, reply: mpsc::Sender<ExportResult>, queued: Instant },
     Stop,
 }
 
 /// What a `Finish` job answers: the session's findings, or the typed
 /// reason the server terminated it.
 pub type FinishResult = Result<Vec<Report>, SessionFailure>;
-
-/// What an `Export` job answers: the session's encoded snapshot bytes,
-/// or the typed reason the session is unexportable.
-pub type ExportResult = Result<Vec<u8>, SessionFailure>;
 
 /// Resource-governor and chaos knobs threaded from `ServerConfig` into
 /// the shard pool.
@@ -105,7 +99,6 @@ struct WaitHists {
     finish: Histogram,
     abort: Histogram,
     snapshot: Histogram,
-    export: Histogram,
 }
 
 impl WaitHists {
@@ -116,7 +109,6 @@ impl WaitHists {
             finish: h("finish"),
             abort: h("abort"),
             snapshot: h("snapshot"),
-            export: h("export"),
         }
     }
 }
@@ -300,16 +292,9 @@ impl ShardPool {
         self.next_session.fetch_add(1, Relaxed)
     }
 
-    /// Allocate a fresh id without counting a session start — for callers
-    /// that immediately [`adopt_session`](ShardPool::adopt_session) under
-    /// it (adopt counts the start).
-    pub fn allocate_session_id(&self) -> u64 {
-        self.next_session.fetch_add(1, Relaxed)
-    }
-
-    /// Install an already-built session (recovered from a data directory
-    /// or imported from an `Export`) under a fixed id. Future ids are
-    /// bumped past it so fresh sessions can never collide.
+    /// Install a session recovered from a data directory under a fixed
+    /// id. Future ids are bumped past it so fresh sessions can never
+    /// collide.
     pub fn adopt_session(&self, session: u64, state: AnalysisSession) {
         self.stats.sessions_started.inc();
         self.next_session.fetch_max(session + 1, Relaxed);
@@ -317,15 +302,6 @@ impl ShardPool {
             .sessions
             .lock()
             .insert(session, SessionSlot::Live(Box::new(SessionEntry { session: state, peak_bytes: 0 })));
-    }
-
-    /// Events fed so far to a live session, `None` if the pool holds no
-    /// live state for the id.
-    pub fn session_events(&self, session: u64) -> Option<u64> {
-        match self.state_of(session).sessions.lock().get(&session) {
-            Some(SessionSlot::Live(entry)) => Some(entry.session.events()),
-            _ => None,
-        }
     }
 
     /// Synchronously drop any in-memory state for a session (used before
@@ -413,15 +389,6 @@ impl ShardPool {
     /// connection that enqueues it).
     pub fn submit_snapshot(&self, session: u64, ctx: Option<SpanContext>) {
         self.state_of(session).queue.push(Job::Snapshot { session, ctx, queued: Instant::now() });
-    }
-
-    /// Ask the session's worker for its encoded snapshot bytes. FIFO with
-    /// the shard queue, so every batch accepted before the export is in
-    /// the exported state. Non-destructive: the session keeps running.
-    pub fn submit_export(&self, session: u64) -> mpsc::Receiver<ExportResult> {
-        let (tx, rx) = mpsc::channel();
-        self.state_of(session).queue.push(Job::Export { session, reply: tx, queued: Instant::now() });
-        rx
     }
 
     /// Current depth of every shard queue; also refreshes the per-shard
@@ -609,39 +576,6 @@ fn worker_loop(ctx: &WorkerCtx) {
                 }
                 if let Some(ev) = snap_span.and_then(|s| s.end()) {
                     ctx.sink.record(session, ev);
-                }
-                *ctx.state.current.lock() = None;
-            }
-            Job::Export { session, reply, queued } => {
-                ctx.waits.export.record_duration(queued.elapsed());
-                *ctx.state.current.lock() = Some(session);
-                let slot = ctx.state.sessions.lock().remove(&session);
-                match slot {
-                    Some(SessionSlot::Quarantined(failure)) => {
-                        let _ = reply.send(Err(failure.clone()));
-                        ctx.state
-                            .sessions
-                            .lock()
-                            .insert(session, SessionSlot::Quarantined(failure));
-                    }
-                    live => {
-                        // A session with no state yet exports as an empty
-                        // snapshot — same lazy materialization as Events.
-                        let entry = match live {
-                            Some(SessionSlot::Live(entry)) => entry,
-                            _ => Box::new(SessionEntry {
-                                session: AnalysisSession::with_registry(
-                                    ctx.detector.clone(),
-                                    ctx.registry.clone(),
-                                ),
-                                peak_bytes: 0,
-                            }),
-                        };
-                        let bytes =
-                            arbalest_store::encode_session_snapshot(&entry.session.to_snapshot());
-                        ctx.state.sessions.lock().insert(session, SessionSlot::Live(entry));
-                        let _ = reply.send(Ok(bytes));
-                    }
                 }
                 *ctx.state.current.lock() = None;
             }

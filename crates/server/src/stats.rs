@@ -7,8 +7,8 @@
 
 use crate::proto::StatsSnapshot;
 use arbalest_obs::{Counter, Registry};
-use arbalest_offload::report::Report;
-use arbalest_offload::wire::{report_kind_tag, REPORT_KINDS};
+use arbalest_offload::report::{Report, ReportKind};
+use arbalest_offload::wire::report_kind_tag;
 
 /// Monotonic counters shared by every connection and shard.
 #[derive(Debug)]
@@ -36,7 +36,7 @@ impl GlobalStats {
             sessions_finished: reg.counter("arbalest_server_sessions_finished_total", &[]),
             events_received: reg.counter("arbalest_server_events_received_total", &[]),
             busy_rejections: reg.counter("arbalest_server_busy_rejections_total", &[]),
-            reports_by_kind: REPORT_KINDS
+            reports_by_kind: ReportKind::ALL
                 .iter()
                 .map(|k| reg.counter("arbalest_server_reports_total", &[("kind", k.label())]))
                 .collect(),

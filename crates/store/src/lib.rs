@@ -26,8 +26,7 @@
 //! * [`crc`] — hand-rolled CRC32 (IEEE), the only checksum in the stack.
 //! * [`wal`] — record framing, segment files, group-fsync policy, torn
 //!   tail scanning/repair.
-//! * [`snapshot`] — the versioned snapshot byte format (also the payload
-//!   of the server's `Export`/`Import` migration frames).
+//! * [`snapshot`] — the versioned snapshot byte format.
 //! * [`dir`] — the [`Store`]: per-session directories, snapshot
 //!   triggering state, compaction, recovery.
 //! * [`metrics`] — `arbalest_store_*` observability instruments.

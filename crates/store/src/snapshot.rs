@@ -18,9 +18,7 @@
 //!
 //! The trailer CRC is verified *before* any field decoding, so a
 //! truncated or bit-flipped snapshot fails typed ([`StoreError::Crc`])
-//! rather than decoding into plausible-but-wrong state. The same bytes
-//! are the payload of the server's `Export`/`ImportReply` migration
-//! frames — a snapshot file and an exported session are interchangeable.
+//! rather than decoding into plausible-but-wrong state.
 
 use crate::crc::crc32;
 use crate::StoreError;
@@ -29,7 +27,7 @@ use arbalest_offload::buffer::{BufferId, BufferInfo};
 use arbalest_offload::wire::{self, Cursor, WireError};
 use arbalest_race::{LocSnapshot, RaceSnapshot, ReadSnapshot, TaskSnapshot};
 
-/// Magic prefix of a snapshot (file or `Export` payload).
+/// Magic prefix of a snapshot file.
 pub const SNAP_MAGIC: [u8; 4] = *b"ABSS";
 
 /// Version of the snapshot layout. Bump on any layout change. Version 2

@@ -4,23 +4,11 @@
 //!
 //! Run with: `cargo run --release --example dracc_tour`
 
-use arbalest::baselines::{AddressSanitizer, Archer, Memcheck, MemorySanitizer};
-use arbalest::core::{Arbalest, ArbalestConfig};
+use arbalest::baselines::{by_name, TOOLS};
 use arbalest::prelude::*;
-use std::sync::Arc;
-
-fn make(name: &str) -> Arc<dyn Tool> {
-    match name {
-        "arbalest" => Arc::new(Arbalest::new(ArbalestConfig::default())),
-        "memcheck" => Arc::new(Memcheck::new()),
-        "archer" => Arc::new(Archer::new()),
-        "asan" => Arc::new(AddressSanitizer::new()),
-        _ => Arc::new(MemorySanitizer::new()),
-    }
-}
+use arbalest_obs::Registry;
 
 fn main() {
-    const TOOLS: [&str; 5] = ["arbalest", "memcheck", "archer", "asan", "msan"];
     println!(
         "{:<16}{:<10}{:<34}arbalest memchk archer asan msan",
         "benchmark", "effect", "name"
@@ -30,7 +18,7 @@ fn main() {
         let effect = b.expected.map(|e| e.to_string()).unwrap_or_else(|| "-".into());
         print!("{:<16}{:<10}{:<34}", b.dracc_id(), effect, b.name);
         for tool in TOOLS {
-            let t = make(tool);
+            let t = by_name(tool, &Registry::new()).expect("known tool");
             let rt = Runtime::with_tool(Config::default(), t);
             b.run(&rt);
             let hit = match b.expected {

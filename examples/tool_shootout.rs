@@ -9,10 +9,9 @@
 //!
 //! Run with: `cargo run --example tool_shootout`
 
-use arbalest::baselines::{AddressSanitizer, Archer, Memcheck, MemorySanitizer};
-use arbalest::core::{Arbalest, ArbalestConfig};
+use arbalest::baselines::{by_name, paper_name, TOOLS};
 use arbalest::prelude::*;
-use std::sync::Arc;
+use arbalest_obs::Registry;
 
 const N: usize = 64;
 
@@ -44,16 +43,11 @@ fn buggy_program(rt: &Runtime) {
 }
 
 fn main() {
-    let tools: Vec<(&str, Arc<dyn Tool>)> = vec![
-        ("Arbalest", Arc::new(Arbalest::new(ArbalestConfig::default()))),
-        ("Valgrind", Arc::new(Memcheck::new())),
-        ("Archer", Arc::new(Archer::new())),
-        ("ASan", Arc::new(AddressSanitizer::new())),
-        ("MSan", Arc::new(MemorySanitizer::new())),
-    ];
     println!("{:<10}{:<8}{:<8}{:<8}  findings", "tool", "UUM", "BO", "USD");
     println!("{}", "-".repeat(70));
-    for (name, tool) in tools {
+    for tool in TOOLS {
+        let name = paper_name(tool);
+        let tool = by_name(tool, &Registry::new()).expect("known tool");
         let rt = Runtime::with_tool(Config::default(), tool);
         buggy_program(&rt);
         let reports = rt.reports();

@@ -5,6 +5,7 @@ use arbalest::baselines::{AddressSanitizer, Archer, Memcheck, MemorySanitizer};
 use arbalest::core::{certify, Arbalest, ArbalestConfig};
 use arbalest::prelude::*;
 use arbalest::spec::Preset;
+use arbalest_obs::Registry;
 use std::sync::Arc;
 
 /// All five tools attached to ONE runtime: they share the event stream
@@ -58,14 +59,8 @@ fn checksums_are_tool_invariant() {
             let rt = Runtime::new(Config::default().team_size(2));
             (w.run)(&rt, Preset::Test)
         };
-        for tool in ["arbalest", "memcheck", "archer", "asan", "msan"] {
-            let t: Arc<dyn Tool> = match tool {
-                "arbalest" => Arc::new(Arbalest::new(ArbalestConfig::default())),
-                "memcheck" => Arc::new(Memcheck::new()),
-                "archer" => Arc::new(Archer::new()),
-                "asan" => Arc::new(AddressSanitizer::new()),
-                _ => Arc::new(MemorySanitizer::new()),
-            };
+        for tool in arbalest::baselines::TOOLS {
+            let t = arbalest::baselines::by_name(tool, &Registry::new()).expect("known tool");
             let rt = Runtime::with_tool(Config::default().team_size(2), t);
             let sum = (w.run)(&rt, Preset::Test);
             let tol = 1e-9 * native.abs().max(1.0);
