@@ -56,6 +56,10 @@ if [[ "${RUN_SOAK:-1}" == "1" ]]; then
     cargo test -q --release --test oracle_race --no-run
     timeout 60 cargo test -q --release --test oracle_race -- --ignored
 
+    echo "==> page-table stress (racing first touches against readers, 60s budget)"
+    cargo test -q --release -p arbalest-sync --no-run
+    timeout 60 cargo test -q --release -p arbalest-sync -- --ignored
+
     echo "==> network-chaos soak (all DRACC cases, fixed seeds, 60s budget)"
     # Compile outside the wall-clock budget; only the soak itself is bounded.
     cargo test -q --release -p arbalest-server --test chaos_soak --no-run

@@ -3,12 +3,13 @@
 //! Per aligned 8-byte granule of every tracked host variable, ARBALEST
 //! keeps one Table II shadow word, updated with lock-free compare-and-swap
 //! so analysis runs fully concurrently with the program (§IV-C). Kernel
-//! accesses land on CV device addresses; an interval tree (with a
-//! last-lookup cache) resolves them back to the OV's shadow in
-//! O(log m) — amortised O(1) — and doubles as the §IV-D mapping-related
-//! buffer-overflow detector. A FastTrack engine (ARBALEST is built on
-//! Archer) supplies the happens-before side: data races are reported and
-//! the Table II TID/clock fields are stamped from the racing task's epoch.
+//! accesses land on CV device addresses; an interval tree (with a small
+//! per-thread cache of recent lookups) resolves them back to the OV's
+//! shadow in O(log m) — amortised O(1) — and doubles as the §IV-D
+//! mapping-related buffer-overflow detector. A FastTrack engine (ARBALEST
+//! is built on Archer) supplies the happens-before side: data races are
+//! reported and the Table II TID/clock fields are stamped from the racing
+//! task's epoch.
 
 use crate::vsm::{self, StorageLoc, ViolationKind, VsmOp};
 use arbalest_offload::addr::DeviceId;
@@ -21,7 +22,9 @@ use arbalest_offload::sections;
 use arbalest_race::{Epoch, RaceEngine};
 use arbalest_shadow::{IntervalTree, Layout, ShadowMemory};
 use arbalest_sync::{Mutex, RwLock};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Deduplication key: (kind, buffer, file, line).
 type ReportKey = (ReportKind, Option<u32>, &'static str, u32);
@@ -38,6 +41,66 @@ struct CvInfo {
     ov_addr: u64,
 }
 
+/// Entries of the per-thread CV lookup cache.
+const CV_CACHE_ENTRIES: usize = 4;
+
+/// A CV interval one thread resolved, valid while its detector's
+/// generation is the one it was resolved under.
+#[derive(Debug, Clone, Copy)]
+struct CachedCv {
+    detector: u64,
+    generation: u64,
+    lo: u64,
+    hi: u64,
+    info: CvInfo,
+}
+
+impl CachedCv {
+    /// Matches no detector: ids start at 1.
+    const EMPTY: CachedCv = CachedCv {
+        detector: 0,
+        generation: 0,
+        lo: 0,
+        hi: 0,
+        info: CvInfo { buffer: BufferId(0), ov_addr: 0 },
+    };
+}
+
+/// The calling thread's recent CV lookups, for every detector it feeds,
+/// replaced round-robin. Thread-local, so kernel threads never write a
+/// shared line to cache a lookup.
+struct CvCache {
+    entries: [Cell<CachedCv>; CV_CACHE_ENTRIES],
+    next: Cell<usize>,
+}
+
+impl CvCache {
+    fn find(&self, detector: u64, generation: u64, addr: u64) -> Option<CachedCv> {
+        self.entries.iter().map(Cell::get).find(|e| {
+            e.detector == detector && e.generation == generation && (e.lo..e.hi).contains(&addr)
+        })
+    }
+
+    fn insert(&self, entry: CachedCv) {
+        let i = self.next.get();
+        self.entries[i].set(entry);
+        self.next.set((i + 1) % CV_CACHE_ENTRIES);
+    }
+}
+
+thread_local! {
+    static CV_CACHE: CvCache = const {
+        CvCache {
+            entries: [const { Cell::new(CachedCv::EMPTY) }; CV_CACHE_ENTRIES],
+            next: Cell::new(0),
+        }
+    };
+}
+
+/// Source of detector ids; never reused, so a cached lookup can never be
+/// taken for another detector's.
+static NEXT_DETECTOR_ID: AtomicU64 = AtomicU64::new(1);
+
 /// Detector configuration.
 #[derive(Debug, Clone)]
 pub struct ArbalestConfig {
@@ -47,7 +110,8 @@ pub struct ArbalestConfig {
     /// Run the integrated happens-before race detection (Archer side).
     /// Disable only for ablation measurements.
     pub check_races: bool,
-    /// Use the one-entry interval-tree lookup cache (§IV-C's amortisation).
+    /// Use the per-thread interval-tree lookup cache (§IV-C's
+    /// amortisation).
     pub lookup_cache: bool,
     /// Stop recording after this many distinct reports.
     pub max_reports: usize,
@@ -77,11 +141,18 @@ impl Default for ArbalestConfig {
 /// exporters and these accessors can never disagree. One pack is built
 /// per registry; every detector recording into it holds a copy of the
 /// handles. All handles are no-ops on a disabled registry.
+///
+/// An analysed access costs one counter increment: the VSM edge it
+/// commits. The access and cache-hit series sum the edge cells
+/// ([`Registry::counter_sum`](arbalest_obs::Registry::counter_sum)), so
+/// they are counted directly only for what commits no edge: accesses
+/// rejected before the VSM step, and hits such an access or a transfer
+/// made.
 #[derive(Clone, Debug)]
 pub struct ArbalestStats {
     /// Memory accesses analysed (`arbalest_detector_accesses_total`).
     pub accesses: arbalest_obs::Counter,
-    /// Interval lookups answered by the one-entry cache
+    /// Interval lookups answered by the per-thread cache
     /// (`arbalest_detector_lookup_cache_total{result="hit"}`).
     pub cache_hits: arbalest_obs::Counter,
     /// Interval lookups that walked the tree
@@ -92,6 +163,10 @@ pub struct ArbalestStats {
     /// kernel thread made it. Fixed arrays: the per-access edge increment
     /// must not pay `Vec` double indirection.
     vsm_pairs: [[arbalest_obs::Counter; VSM_OP_LABELS.len()]; VSM_STATE_LABELS.len()],
+    /// Device read and write edges committed after a cache hit, indexed
+    /// `[from_state][read_target, write_target]`. Unlisted cells, summed
+    /// into their `vsm_pairs` series, `cache_hits` and `accesses`.
+    hit_edges: [[arbalest_obs::Counter; 2]; VSM_STATE_LABELS.len()],
     /// Failed shadow-word CAS attempts
     /// (`arbalest_detector_shadow_cas_retries_total`).
     cas_retries: arbalest_obs::Counter,
@@ -104,20 +179,38 @@ pub struct ArbalestStats {
 
 impl ArbalestStats {
     fn new(reg: &arbalest_obs::Registry) -> ArbalestStats {
-        let vsm_pairs = std::array::from_fn(|f| {
-            std::array::from_fn(|o| {
-                reg.counter(
-                    "arbalest_detector_vsm_transition_pairs_total",
-                    &[("from", VSM_STATE_LABELS[f]), ("op", VSM_OP_LABELS[o])],
-                )
-            })
-        });
+        let hit_edges: [[arbalest_obs::Counter; 2]; VSM_STATE_LABELS.len()] =
+            std::array::from_fn(|_| std::array::from_fn(|_| reg.unlisted_counter()));
+        let vsm_pairs: [[arbalest_obs::Counter; VSM_OP_LABELS.len()]; VSM_STATE_LABELS.len()] =
+            std::array::from_fn(|f| {
+                std::array::from_fn(|o| {
+                    let after_hit: &[&arbalest_obs::Counter] = match o {
+                        VSM_OP_READ_TARGET => &[&hit_edges[f][0]],
+                        VSM_OP_WRITE_TARGET => &[&hit_edges[f][1]],
+                        _ => &[],
+                    };
+                    reg.counter_sum(
+                        "arbalest_detector_vsm_transition_pairs_total",
+                        &[("from", VSM_STATE_LABELS[f]), ("op", VSM_OP_LABELS[o])],
+                        after_hit,
+                    )
+                })
+            });
+        // Every analysed access commits one edge of the four access ops.
+        let access_edges: Vec<&arbalest_obs::Counter> =
+            vsm_pairs.iter().flat_map(|ops| &ops[..VSM_ACCESS_OPS]).collect();
+        let hits: Vec<&arbalest_obs::Counter> = hit_edges.iter().flatten().collect();
         ArbalestStats {
-            accesses: reg.counter("arbalest_detector_accesses_total", &[]),
-            cache_hits: reg.counter("arbalest_detector_lookup_cache_total", &[("result", "hit")]),
+            accesses: reg.counter_sum("arbalest_detector_accesses_total", &[], &access_edges),
+            cache_hits: reg.counter_sum(
+                "arbalest_detector_lookup_cache_total",
+                &[("result", "hit")],
+                &hits,
+            ),
             cache_misses: reg
                 .counter("arbalest_detector_lookup_cache_total", &[("result", "miss")]),
             vsm_pairs,
+            hit_edges,
             cas_retries: reg.counter("arbalest_detector_shadow_cas_retries_total", &[]),
             lookup_depth: reg.histogram("arbalest_detector_lookup_depth", &[]),
             present_ops: [
@@ -150,10 +243,16 @@ impl ArbalestStats {
     }
 
     /// Count one committed transition from the *post-commit* old word, so
-    /// CAS retries never double-count an edge.
+    /// CAS retries never double-count an edge. `hit`: the access's CV
+    /// lookup was a cache hit, which the same increment counts.
     #[inline]
-    fn note_transition(&self, from: vsm::NamedState, op: VsmOp, retries: u32) {
-        self.vsm_pairs[vsm_state_index(from)][vsm_op_index(op)].inc();
+    fn note_transition(&self, from: vsm::NamedState, op: VsmOp, retries: u32, hit: bool) {
+        let (f, o) = (vsm_state_index(from), vsm_op_index(op));
+        match (hit, o) {
+            (true, VSM_OP_READ_TARGET) => self.hit_edges[f][0].inc(),
+            (true, VSM_OP_WRITE_TARGET) => self.hit_edges[f][1].inc(),
+            _ => self.vsm_pairs[f][o].inc(),
+        }
         if retries > 0 {
             self.cas_retries.add(u64::from(retries));
         }
@@ -177,6 +276,12 @@ impl ArbalestStats {
 /// VSM state labels for the `(from_state, event)` transition counters,
 /// indexed by [`vsm::NamedState`] discriminant order.
 const VSM_STATE_LABELS: [&str; 4] = ["invalid", "host", "target", "consistent"];
+
+/// The access ops lead [`VSM_OP_LABELS`]; the device read and write are
+/// the ones a CV lookup precedes.
+const VSM_ACCESS_OPS: usize = 4;
+const VSM_OP_READ_TARGET: usize = 1;
+const VSM_OP_WRITE_TARGET: usize = 3;
 
 /// VSM event labels, indexed by [`vsm_op_index`].
 const VSM_OP_LABELS: [&str; 10] = [
@@ -305,7 +410,11 @@ pub struct Arbalest {
     layout: Layout,
     shadow: ShadowMemory,
     intervals: RwLock<IntervalTree<CvInfo>>,
-    cache: RwLock<Option<(u64, u64, CvInfo)>>,
+    /// Tags this detector's entries in the per-thread lookup caches.
+    id: u64,
+    /// Bumped whenever a cached lookup may have gone stale (a CV deleted,
+    /// side tables evicted); cached entries of older generations miss.
+    generation: AtomicU64,
     race: Option<RaceEngine>,
     buffers: RwLock<HashMap<u32, BufferInfo>>,
     reports: Mutex<Vec<Report>>,
@@ -352,7 +461,8 @@ impl Arbalest {
             layout,
             shadow: ShadowMemory::new(1),
             intervals: RwLock::new(IntervalTree::new()),
-            cache: RwLock::new(None),
+            id: NEXT_DETECTOR_ID.fetch_add(1, Ordering::Relaxed),
+            generation: AtomicU64::new(0),
             race: if cfg.check_races { Some(RaceEngine::new()) } else { None },
             buffers: RwLock::new(HashMap::new()),
             reports: Mutex::new(Vec::new()),
@@ -367,8 +477,9 @@ impl Arbalest {
     }
 
     /// Shed side-table memory under resource pressure: drop every resident
-    /// shadow page, the race engine's per-location access history, and the
-    /// lookup cache, returning the approximate bytes freed.
+    /// shadow page and the race engine's per-location access history, and
+    /// invalidate cached lookups, returning the approximate bytes freed.
+    /// Exclusive access: no event may be in flight while tables are freed.
     ///
     /// The detector keeps running afterwards in *May mode*: evicted shadow
     /// words read back as the initial state, so VSM violations (UUM/USD)
@@ -377,14 +488,14 @@ impl Arbalest {
     /// retained interval tree and buffer table, and races between two
     /// post-eviction accesses) are still reported. Reports recorded before
     /// the eviction are retained. The transition is one-way.
-    pub fn evict_to_may(&self) -> u64 {
+    pub fn evict_to_may(&mut self) -> u64 {
         let before = self.side_table_bytes();
         self.shadow.evict_all();
-        if let Some(r) = &self.race {
+        if let Some(r) = &mut self.race {
             r.evict_history();
         }
-        *self.cache.write() = None;
-        self.degraded.store(true, std::sync::atomic::Ordering::Release);
+        *self.generation.get_mut() += 1;
+        *self.degraded.get_mut() = true;
         before.saturating_sub(self.side_table_bytes())
     }
 
@@ -461,7 +572,7 @@ impl Arbalest {
         };
         let layout = Layout::for_accelerators(cfg.accelerators);
         let stats = ArbalestStats::clone(&reg.state(ArbalestStats::new));
-        let shadow = ShadowMemory::new(1);
+        let mut shadow = ShadowMemory::new(1);
         if !shadow.restore_pages(&snap.shadow_pages) {
             return Err(RestoreError::ShadowLayout);
         }
@@ -488,7 +599,8 @@ impl Arbalest {
             layout,
             shadow,
             intervals: RwLock::new(intervals),
-            cache: RwLock::new(None),
+            id: NEXT_DETECTOR_ID.fetch_add(1, Ordering::Relaxed),
+            generation: AtomicU64::new(0),
             race: snap.race.as_ref().map(RaceEngine::from_snapshot),
             buffers: RwLock::new(buffers),
             reports: Mutex::new(snap.reports.clone()),
@@ -610,25 +722,32 @@ impl Arbalest {
     }
 
     /// Resolve a device (CV) address to its owning interval, through the
-    /// one-entry cache when enabled.
-    fn lookup(&self, addr: u64) -> Option<(u64, u64, CvInfo)> {
-        if self.cfg.lookup_cache {
-            if let Some((lo, hi, info)) = *self.cache.read() {
-                if (lo..hi).contains(&addr) {
-                    self.stats.cache_hits.inc();
-                    return Some((lo, hi, info));
-                }
-            }
+    /// calling thread's lookup cache when enabled. Counts a miss; a hit,
+    /// flagged by the returned `bool`, is the caller's to count.
+    fn lookup(&self, addr: u64) -> Option<(u64, CvInfo, bool)> {
+        if !self.cfg.lookup_cache {
+            self.stats.cache_misses.inc();
+            return self.stab(addr).map(|(lo, _, info)| (lo, info, false));
+        }
+        // Read the generation before the tree: an entry cached under it
+        // cannot outlive a delete, which bumps it after removing the CV.
+        let generation = self.generation.load(Ordering::Acquire);
+        if let Some(e) = CV_CACHE.with(|c| c.find(self.id, generation, addr)) {
+            return Some((e.lo, e.info, true));
         }
         self.stats.cache_misses.inc();
+        let (lo, hi, info) = self.stab(addr)?;
+        CV_CACHE.with(|c| c.insert(CachedCv { detector: self.id, generation, lo, hi, info }));
+        Some((lo, info, false))
+    }
+
+    /// Walk the interval tree for `addr`.
+    fn stab(&self, addr: u64) -> Option<(u64, u64, CvInfo)> {
         let tree = self.intervals.read();
         let (lo, hi, info, depth) =
             tree.stab_with_depth(addr).map(|(lo, hi, v, d)| (lo, hi, *v, d))?;
         drop(tree);
         self.stats.lookup_depth.record(u64::from(depth));
-        if self.cfg.lookup_cache {
-            *self.cache.write() = Some((lo, hi, info));
-        }
         Some((lo, hi, info))
     }
 
@@ -642,6 +761,7 @@ impl Arbalest {
         op: VsmOp,
         ev: &AccessEvent,
         epoch: Epoch,
+        hit: bool,
     ) -> (Option<vsm::Violation>, PrevAccess) {
         let mut violation = None;
         // The closure may re-run on CAS contention, so per-edge counting
@@ -658,7 +778,7 @@ impl Arbalest {
             self.layout.encode(next)
         });
         let old_state = self.layout.decode(old);
-        self.stats.note_transition(vsm::named(old_state), op, retries);
+        self.stats.note_transition(vsm::named(old_state), op, retries, hit);
         if self.cfg.provenance {
             self.prov_note(
                 ev.buffer,
@@ -785,7 +905,7 @@ impl Tool for Arbalest {
             DataOpKind::CvDelete => {
                 self.stats.present_ops[1].inc();
                 self.intervals.write().remove(ev.cv_base);
-                *self.cache.write() = None;
+                self.generation.fetch_add(1, Ordering::Release);
                 let op = VsmOp::Release(d);
                 if let Some((from, to)) = self.vsm_range(ev.ov_addr, ev.len, op) {
                     self.prov_note(Some(ev.buffer), op, from, to, None, ev.task.0 as u16);
@@ -801,7 +921,10 @@ impl Tool for Arbalest {
             TransferKind::DeviceToDevice => {
                 // Resolve the shadow anchor through the source CV's
                 // interval; both CVs shadow the same OV range.
-                let Some((lo, _hi, info)) = self.lookup(ev.src_addr) else { return };
+                let Some((lo, info, hit)) = self.lookup(ev.src_addr) else { return };
+                if hit {
+                    self.stats.cache_hits.inc();
+                }
                 (info.ov_addr + (ev.src_addr - lo), ev.dst_device)
             }
         };
@@ -896,13 +1019,15 @@ impl Tool for Arbalest {
     }
 
     fn on_access(&self, ev: &AccessEvent) {
-        self.stats.accesses.inc();
         let epoch = self.race_access(ev);
 
-        let (key, loc) = if ev.device.is_host() {
-            (ev.addr, StorageLoc::Host)
+        // An access that reaches the VSM step is counted by its edge; the
+        // ones rejected before it are counted here.
+        let (key, loc, hit) = if ev.device.is_host() {
+            (ev.addr, StorageLoc::Host, false)
         } else {
             if !ev.mapped {
+                self.stats.accesses.inc();
                 self.report(
                     ReportKind::MappingOverflow,
                     "kernel accessed a variable absent from the device data environment (missing map clause)".into(),
@@ -919,6 +1044,7 @@ impl Tool for Arbalest {
             }
             match self.lookup(ev.addr) {
                 None => {
+                    self.stats.accesses.inc();
                     self.report(
                         ReportKind::MappingOverflow,
                         "kernel access outside every mapped corresponding variable".into(),
@@ -933,9 +1059,13 @@ impl Tool for Arbalest {
                     );
                     return;
                 }
-                Some((lo, _hi, info)) => {
+                Some((lo, info, hit)) => {
                     if let Some(b) = ev.buffer {
                         if b != info.buffer {
+                            self.stats.accesses.inc();
+                            if hit {
+                                self.stats.cache_hits.inc();
+                            }
                             // The access landed inside a *different*
                             // variable's CV — the undefined-behaviour case
                             // of §IV-D.
@@ -958,13 +1088,13 @@ impl Tool for Arbalest {
                             return;
                         }
                     }
-                    (info.ov_addr + (ev.addr - lo), StorageLoc::Device(ev.device.0 as u8))
+                    (info.ov_addr + (ev.addr - lo), StorageLoc::Device(ev.device.0 as u8), hit)
                 }
             }
         };
 
         let op = if ev.is_write { VsmOp::Write(loc) } else { VsmOp::Read(loc) };
-        let (violation, prev) = self.vsm_step(key, op, ev, epoch);
+        let (violation, prev) = self.vsm_step(key, op, ev, epoch, hit);
         // In May mode the shadow was evicted: decoded states are no longer
         // trustworthy, so a Must claim derived from them would be a false
         // positive. Transitions still commit (re-warming the shadow keeps
@@ -1437,6 +1567,11 @@ mod tests {
             });
         });
         assert!(tool.reports().is_empty(), "{:?}", tool.reports());
+        // Eviction frees tables that concurrent events would read, so it
+        // takes the detector exclusively: the runtime goes first.
+        let a0 = rt.info(a.id()).ov_base;
+        drop(rt);
+        let mut tool = Arc::into_inner(tool).expect("the runtime held the only other handle");
         let before = tool.side_table_bytes();
         let freed = tool.evict_to_may();
         assert!(tool.degraded());
@@ -1444,8 +1579,153 @@ mod tests {
         assert!(tool.side_table_bytes() < before, "side tables did not shrink");
         // Post-eviction the granule reads back as the initial state, which
         // would be a UUM claim on a fresh detector; May mode suppresses it.
-        let _ = rt.read(&a, 0);
+        tool.on_access(&host_access(a0, false, a.id()));
         assert!(tool.reports().is_empty(), "May mode asserted a violation: {:?}", tool.reports());
+    }
+
+    fn host_access(addr: u64, is_write: bool, buffer: BufferId) -> AccessEvent {
+        AccessEvent {
+            device: DeviceId::HOST,
+            addr,
+            size: 8,
+            is_write,
+            task: TaskId::HOST,
+            buffer: Some(buffer),
+            mapped: true,
+            atomic: false,
+            loc: SrcLoc::caller(),
+        }
+    }
+
+    fn kernel_access(addr: u64, buffer: BufferId) -> AccessEvent {
+        AccessEvent { device: DeviceId::ACCEL0, is_write: true, ..host_access(addr, true, buffer) }
+    }
+
+    fn register(tool: &Arbalest, id: u32, name: &str, ov_base: u64) -> BufferId {
+        let info =
+            BufferInfo { id: BufferId(id), name: name.into(), elem_size: 8, len: 64, ov_base };
+        tool.on_buffer_registered(&info);
+        info.id
+    }
+
+    fn data_op(kind: DataOpKind, buffer: BufferId, ov_addr: u64, cv_base: u64) -> DataOpEvent {
+        DataOpEvent {
+            kind,
+            buffer,
+            device: DeviceId::ACCEL0,
+            ov_addr,
+            cv_base,
+            len: 512,
+            plugin_visible: true,
+            task: TaskId::HOST,
+        }
+    }
+
+    #[test]
+    fn detectors_sharing_a_thread_resolve_their_own_cvs() {
+        // A server shard feeds many sessions on one thread: two detectors
+        // map the same CV range to different buffers, and each lookup must
+        // come from its own detector's tree, not the other's cached entry.
+        let cv = 0x2000_0000_1000;
+        let (d1, d2) = (Arbalest::default(), Arbalest::default());
+        let b1 = register(&d1, 0, "one", 0x1000_0000_0000);
+        let b2 = register(&d2, 1, "two", 0x1000_0000_8000);
+        d1.on_data_op(&data_op(DataOpKind::CvAlloc, b1, 0x1000_0000_0000, cv));
+        d2.on_data_op(&data_op(DataOpKind::CvAlloc, b2, 0x1000_0000_8000, cv));
+        for i in 0..8 {
+            d1.on_access(&kernel_access(cv + i * 8, b1));
+            d2.on_access(&kernel_access(cv + i * 8, b2));
+        }
+        for d in [&d1, &d2] {
+            assert!(d.reports().is_empty(), "{:?}", d.reports());
+            assert_eq!(d.stats().cache_misses.get(), 1, "one walk, then the thread's cache");
+            assert_eq!(d.stats().cache_hits.get(), 7);
+        }
+    }
+
+    #[test]
+    fn access_and_lookup_counts_are_exact_on_every_path() {
+        // Hits and accesses that commit a VSM edge are counted by the edge
+        // alone; the series must still read exactly what happened.
+        let cv = 0x2000_0000_1000;
+        let tool = Arbalest::default();
+        let a = register(&tool, 0, "a", 0x1000_0000_0000);
+        let b = register(&tool, 1, "b", 0x1000_0000_8000);
+        tool.on_data_op(&data_op(DataOpKind::CvAlloc, a, 0x1000_0000_0000, cv));
+        tool.on_access(&host_access(0x1000_0000_0000, true, a)); // host: no lookup
+        tool.on_access(&kernel_access(cv, a)); // miss
+        tool.on_access(&kernel_access(cv + 8, a)); // hit
+        tool.on_access(&kernel_access(cv + 16, b)); // hit, into a's CV: rejected
+        tool.on_access(&kernel_access(0x2000_0000_9000, a)); // miss, outside every CV
+        tool.on_access(&AccessEvent { mapped: false, ..kernel_access(cv, b) }); // no lookup
+        let stats = tool.stats();
+        assert_eq!(stats.accesses.get(), 6);
+        assert_eq!((stats.cache_hits.get(), stats.cache_misses.get()), (2, 2));
+        // One alloc range of 64 granules plus the three analysed accesses.
+        assert_eq!(stats.vsm_transitions(), 64 + 3);
+        let snap = tool.registry().snapshot();
+        assert_eq!(snap.counter("arbalest_detector_accesses_total", &[]), Some(6));
+        assert_eq!(
+            snap.counter("arbalest_detector_lookup_cache_total", &[("result", "hit")]),
+            Some(2)
+        );
+        assert_eq!(snap.counter_sum("arbalest_detector_vsm_transition_pairs_total"), 64 + 3);
+        // The two analysed device writes, one after a miss and one after a
+        // hit, both land in the exported write_target column.
+        let device_writes: u64 = snap
+            .counters_named("arbalest_detector_vsm_transition_pairs_total")
+            .filter(|(labels, _)| labels.iter().any(|(k, v)| k == "op" && v == "write_target"))
+            .map(|(_, v)| v)
+            .sum();
+        assert_eq!(device_writes, 2);
+    }
+
+    #[test]
+    fn a_deleted_cv_is_not_served_from_the_cache() {
+        let cv = 0x2000_0000_1000;
+        let tool = Arbalest::default();
+        let b1 = register(&tool, 0, "one", 0x1000_0000_0000);
+        let b2 = register(&tool, 1, "two", 0x1000_0000_8000);
+        tool.on_data_op(&data_op(DataOpKind::CvAlloc, b1, 0x1000_0000_0000, cv));
+        tool.on_access(&kernel_access(cv, b1));
+        tool.on_data_op(&data_op(DataOpKind::CvDelete, b1, 0x1000_0000_0000, cv));
+        tool.on_data_op(&data_op(DataOpKind::CvAlloc, b2, 0x1000_0000_8000, cv));
+        tool.on_access(&kernel_access(cv, b2));
+        assert!(
+            !tool.reports().iter().any(|r| r.message.contains("overflowed into the corresponding variable of")),
+            "stale cached CV: {:?}",
+            tool.reports()
+        );
+        assert!(tool.reports().is_empty(), "{:?}", tool.reports());
+    }
+
+    #[test]
+    fn isolated_pages_are_counted_with_their_table_nodes() {
+        // Each page lies in its own top-level subtree of the 52-bit page
+        // index (4-bit root, six 256-slot levels), so in both the shadow
+        // and the race history it brings its own path of six nodes of at
+        // least 4 KiB (256 slots of 16 bytes), besides a 4 KiB shadow page
+        // and a race-history page of at least 4 KiB.
+        const K: u64 = 5;
+        let tool = Arbalest::default();
+        let b = register(&tool, 0, "a", 0x1000_0000_0000);
+        let base = tool.side_table_bytes();
+        for k in 1..=K {
+            tool.on_access(&host_access(k << 60, true, b));
+        }
+        let grown = tool.side_table_bytes() - base;
+        let per_page = 4096 + 4096 + 2 * 6 * 4096;
+        assert!(grown >= K * per_page, "{K} isolated pages grew the side tables by {grown} bytes");
+        // Neighbours of those pages share everything but their own page.
+        let isolated = tool.side_table_bytes();
+        for k in 1..=K {
+            tool.on_access(&host_access((k << 60) + 4096, true, b));
+        }
+        let neighbours = tool.side_table_bytes() - isolated;
+        assert!(
+            grown - neighbours >= K * 2 * 6 * 4096,
+            "isolated pages {grown} bytes, neighbours {neighbours}: the node paths are missing"
+        );
     }
 
     #[test]

@@ -75,10 +75,11 @@ impl AnalysisSession {
     }
 
     /// Shed detector side-table memory (shadow pages, race-access history,
-    /// lookup cache), switching the session into May mode: VSM violations
-    /// are suppressed from here on because the evicted state can no longer
-    /// support a Must claim. Returns the approximate bytes freed. One-way.
-    pub fn evict_to_may(&self) -> u64 {
+    /// cached lookups), switching the session into May mode: VSM
+    /// violations are suppressed from here on because the evicted state can
+    /// no longer support a Must claim. Returns the approximate bytes freed.
+    /// One-way; needs the session exclusively, between batches.
+    pub fn evict_to_may(&mut self) -> u64 {
         self.tool.evict_to_may()
     }
 

@@ -115,3 +115,15 @@ fn provenance_capture_never_changes_rendered_output() {
         );
     }
 }
+
+#[test]
+fn lookup_cache_on_and_off_give_identical_reports() {
+    // The per-thread CV lookup cache is a pure speed-up: on the fixed
+    // schedule, every case's whole report list is the same without it.
+    let on = sweep(serial, ArbalestConfig::default());
+    let off = sweep(serial, ArbalestConfig { lookup_cache: false, ..ArbalestConfig::default() });
+    assert_eq!(on.len(), arbalest_dracc::all().len());
+    for ((bench, on), off) in arbalest_dracc::all().iter().zip(&on).zip(&off) {
+        assert_eq!(on, off, "{}: reports differ with the lookup cache off", bench.dracc_id());
+    }
+}

@@ -28,11 +28,31 @@ pub(crate) struct Tables {
 }
 
 /// Shared state of one counter series: the fallback cell plus its
-/// process-wide arena slot (`usize::MAX` when the arena is exhausted).
+/// process-wide arena slot (`usize::MAX` when the arena is exhausted), and
+/// the cells whose counts the series also reports
+/// ([`Registry::counter_sum`]).
 #[derive(Debug)]
 pub(crate) struct CounterCell {
     shared: AtomicU64,
     slot: usize,
+    parts: Vec<Arc<CounterCell>>,
+}
+
+impl CounterCell {
+    fn new(slot: usize, parts: Vec<Arc<CounterCell>>) -> Arc<CounterCell> {
+        Arc::new(CounterCell { shared: AtomicU64::new(0), slot, parts })
+    }
+
+    /// Own count plus the parts', summing arena slots across `blocks`.
+    fn total(&self, blocks: &[Arc<Block>]) -> u64 {
+        let mut v = self.shared.load(Relaxed);
+        if self.slot != usize::MAX {
+            for b in blocks {
+                v = v.wrapping_add(b.cells[self.slot].load(Relaxed));
+            }
+        }
+        self.parts.iter().fold(v, |acc, p| acc.wrapping_add(p.total(blocks)))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -141,16 +161,6 @@ fn acquire_block() -> *const Block {
     ptr
 }
 
-/// Sum `slot` across every block ever issued.
-fn arena_total(slot: usize) -> u64 {
-    arena()
-        .blocks
-        .lock()
-        .unwrap()
-        .iter()
-        .fold(0u64, |acc, b| acc.wrapping_add(b.cells[slot].load(Relaxed)))
-}
-
 pub(crate) struct Inner {
     pub(crate) enabled: bool,
     pub(crate) tables: Mutex<Tables>,
@@ -251,21 +261,36 @@ impl Registry {
 
     /// Register (or re-open) a counter. Same `(name, labels)` → same cell.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        self.counter_sum(name, labels, &[])
+    }
+
+    /// Register (or re-open) a counter series that also reports the
+    /// counts of `parts` (handles from this registry): an event counted in
+    /// a part is not counted again here, so one increment on a hot path
+    /// can feed several series. Re-opening keeps the first registration's
+    /// parts.
+    pub fn counter_sum(&self, name: &str, labels: &[(&str, &str)], parts: &[&Counter]) -> Counter {
         if !self.inner.enabled {
-            return Counter {
-                on: false,
-                slot: usize::MAX,
-                cell: Arc::new(CounterCell { shared: AtomicU64::new(0), slot: usize::MAX }),
-            };
+            return Counter::off();
         }
         let mut t = self.inner.tables.lock().unwrap();
         let cell = t
             .counters
             .entry(key(name, labels))
             .or_insert_with(|| {
-                Arc::new(CounterCell { shared: AtomicU64::new(0), slot: alloc_slot() })
+                CounterCell::new(alloc_slot(), parts.iter().map(|c| c.cell.clone()).collect())
             })
             .clone();
+        Counter { on: true, slot: cell.slot, cell }
+    }
+
+    /// A counter no snapshot lists: it is read through a series that names
+    /// it as a part ([`Registry::counter_sum`]), or through its own `get`.
+    pub fn unlisted_counter(&self) -> Counter {
+        if !self.inner.enabled {
+            return Counter::off();
+        }
+        let cell = CounterCell::new(alloc_slot(), Vec::new());
         Counter { on: true, slot: cell.slot, cell }
     }
 
@@ -377,15 +402,7 @@ impl Registry {
             counters: t
                 .counters
                 .iter()
-                .map(|(k, c)| {
-                    let mut v = c.shared.load(Relaxed);
-                    if c.slot != usize::MAX {
-                        for b in blocks.iter() {
-                            v = v.wrapping_add(b.cells[c.slot].load(Relaxed));
-                        }
-                    }
-                    (MetricId::from_key(k), v)
-                })
+                .map(|(k, c)| (MetricId::from_key(k), c.total(&blocks)))
                 .collect(),
             gauges: t
                 .gauges
@@ -418,6 +435,11 @@ pub struct Counter {
 }
 
 impl Counter {
+    /// A handle of a disabled registry: adds nothing, reads 0.
+    fn off() -> Counter {
+        Counter { on: false, slot: usize::MAX, cell: CounterCell::new(usize::MAX, Vec::new()) }
+    }
+
     /// Add 1.
     #[inline]
     pub fn inc(&self) {
@@ -451,13 +473,12 @@ impl Counter {
         self.cell.shared.fetch_add(n, Relaxed);
     }
 
-    /// Current value (0 forever on a disabled registry).
+    /// Current value, parts included (0 forever on a disabled registry).
     pub fn get(&self) -> u64 {
-        let mut v = self.cell.shared.load(Relaxed);
-        if self.on && self.slot != usize::MAX {
-            v = v.wrapping_add(arena_total(self.slot));
+        if !self.on {
+            return self.cell.shared.load(Relaxed);
         }
-        v
+        self.cell.total(&arena().blocks.lock().unwrap())
     }
 }
 
@@ -487,6 +508,33 @@ impl Gauge {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn summed_series_report_their_parts_and_unlisted_cells_stay_hidden() {
+        let r = Registry::new();
+        let hidden = r.unlisted_counter();
+        let edge = r.counter_sum("arbalest_test_edges_total", &[], &[&hidden]);
+        let all = r.counter_sum("arbalest_test_all_total", &[], &[&edge]);
+        edge.add(2);
+        hidden.add(5);
+        all.inc();
+        std::thread::scope(|s| {
+            s.spawn(|| hidden.add(10));
+        });
+        assert_eq!(hidden.get(), 15);
+        assert_eq!(edge.get(), 17, "own 2 + hidden part 15");
+        assert_eq!(all.get(), 18, "own 1 + edge's total 17");
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("arbalest_test_edges_total", &[]), Some(17));
+        assert_eq!(snap.counter("arbalest_test_all_total", &[]), Some(18));
+        assert_eq!(snap.counters.len(), 2, "the unlisted part is not a series");
+        let off = Registry::disabled();
+        let h = off.unlisted_counter();
+        let c = off.counter_sum("arbalest_test_all_total", &[], &[&h]);
+        h.inc();
+        c.inc();
+        assert_eq!((h.get(), c.get()), (0, 0));
+    }
 
     #[test]
     fn same_name_and_labels_share_one_cell() {

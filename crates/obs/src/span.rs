@@ -19,6 +19,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::registry::{Inner, Registry};
@@ -27,6 +28,10 @@ use crate::registry::{Inner, Registry};
 const NUM_RINGS: usize = 16;
 /// Slots per ring; the recorder keeps the most recent writes.
 const RING_SLOTS: usize = 1024;
+/// Slots per chunk of a ring; a chunk is allocated when a record first
+/// lands in it, so a registry whose threads record a few spans each
+/// (a fresh one per short run) does not pay for whole rings.
+const CHUNK_SLOTS: usize = 64;
 
 /// Interned span name (see [`Registry::span_name`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,7 +139,7 @@ fn current_tid() -> u32 {
     })
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Slot {
     /// `name_id << 32 | tid`.
     meta: AtomicU64,
@@ -150,25 +155,19 @@ struct Slot {
 struct Ring {
     /// Total records ever written; slot index is `head % RING_SLOTS`.
     head: AtomicU64,
-    slots: Box<[Slot]>,
+    chunks: [OnceLock<Box<[Slot; CHUNK_SLOTS]>>; RING_SLOTS / CHUNK_SLOTS],
 }
 
 impl Ring {
     fn new() -> Self {
-        Ring {
-            head: AtomicU64::new(0),
-            slots: (0..RING_SLOTS)
-                .map(|_| Slot {
-                    meta: AtomicU64::new(0),
-                    start_ns: AtomicU64::new(0),
-                    dur_ns: AtomicU64::new(0),
-                    trace_hi: AtomicU64::new(0),
-                    trace_lo: AtomicU64::new(0),
-                    span_id: AtomicU64::new(0),
-                    parent_id: AtomicU64::new(0),
-                })
-                .collect(),
-        }
+        Ring { head: AtomicU64::new(0), chunks: [const { OnceLock::new() }; RING_SLOTS / CHUNK_SLOTS] }
+    }
+
+    /// Slot `i`, allocating its chunk on first use.
+    fn slot(&self, i: usize) -> &Slot {
+        let chunk = self.chunks[i / CHUNK_SLOTS]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| Slot::default())));
+        &chunk[i % CHUNK_SLOTS]
     }
 }
 
@@ -192,7 +191,7 @@ impl FlightRecorder {
         let tid = current_tid();
         let ring = &self.rings[tid as usize % NUM_RINGS];
         let i = ring.head.fetch_add(1, Relaxed) as usize % RING_SLOTS;
-        let slot = &ring.slots[i];
+        let slot = ring.slot(i);
         slot.meta.store(u64::from(name) << 32 | u64::from(tid), Relaxed);
         slot.start_ns.store(start_ns, Relaxed);
         slot.dur_ns.store(dur_ns, Relaxed);
@@ -226,7 +225,11 @@ impl FlightRecorder {
                 self.dropped.fetch_add(lost, Relaxed);
                 lost_total += lost;
             }
-            for slot in &ring.slots[..live] {
+            for i in 0..live {
+                // A racing writer may have claimed a slot whose chunk it
+                // has not made yet: nothing is there to drain.
+                let Some(chunk) = ring.chunks[i / CHUNK_SLOTS].get() else { continue };
+                let slot = &chunk[i % CHUNK_SLOTS];
                 let meta = slot.meta.load(Relaxed);
                 let name_id = (meta >> 32) as usize;
                 let Some(&name) = names.get(name_id) else { continue };
@@ -344,17 +347,23 @@ impl Span {
     }
 }
 
-/// Record the completed span into the recorder (and histogram), and
-/// materialise the event.
-fn finish(a: Armed, ctx: SpanContext) -> SpanEvent {
+/// Record the completed span into the recorder (and histogram); returns
+/// its start and duration in nanoseconds.
+fn record(a: &Armed, ctx: SpanContext) -> (u64, u64) {
     let dur = a.start.elapsed();
     let dur_ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
     let start_ns =
         u64::try_from(a.start.duration_since(a.inner.epoch).as_nanos()).unwrap_or(u64::MAX);
     a.inner.recorder.get_or_init(FlightRecorder::new).record(a.name, ctx, start_ns, dur_ns);
-    if let Some(h) = a.hist {
+    if let Some(h) = &a.hist {
         h.record(dur_ns);
     }
+    (start_ns, dur_ns)
+}
+
+/// Record the completed span and materialise the event.
+fn finish(a: Armed, ctx: SpanContext) -> SpanEvent {
+    let (start_ns, dur_ns) = record(&a, ctx);
     let name = a.inner.names.lock().unwrap().get(a.name as usize).copied().unwrap_or("");
     SpanEvent {
         name,
@@ -369,8 +378,11 @@ fn finish(a: Armed, ctx: SpanContext) -> SpanEvent {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(a) = self.armed.take() else { return };
-        let _ = finish(a, self.ctx);
+        // Nobody sees the event of a dropped guard: record it without
+        // materialising it (no name-table lock).
+        if let Some(a) = &self.armed {
+            record(a, self.ctx);
+        }
     }
 }
 

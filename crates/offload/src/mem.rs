@@ -1,7 +1,8 @@
 //! Paged, atomically-accessed logical memories — one per device.
 //!
-//! Every simulated memory is a sparse collection of 4 KiB pages of
-//! `AtomicU64` words. All data accesses go through relaxed atomics so that
+//! Every simulated memory is a sparse [`PageTable`] of 4 KiB pages of
+//! `AtomicU64` words, so an access finds its page with a few plain loads
+//! and no lock. All data accesses go through relaxed atomics so that
 //! *buggy benchmark programs* — ones that genuinely race, which this suite
 //! must be able to execute — stay well-defined Rust while still exhibiting
 //! nondeterministic values, exactly like hardware.
@@ -15,10 +16,9 @@
 
 use crate::addr::{device_base, DeviceId};
 use crate::error::RuntimeError;
-use arbalest_sync::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use arbalest_sync::{Mutex, PageTable};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Log2 of the page size in bytes.
 pub const PAGE_SHIFT: u32 = 12;
@@ -33,12 +33,11 @@ pub const BLOCK_GAP: u64 = 64;
 
 type Page = Box<[AtomicU64; WORDS_PER_PAGE]>;
 
-fn new_page() -> Arc<Page> {
+fn new_page() -> Page {
     // Zero-initialised; `AtomicU64` is repr(transparent) over u64 but we
     // build it safely element by element via a Vec to avoid unsafe.
     let v: Vec<AtomicU64> = (0..WORDS_PER_PAGE).map(|_| AtomicU64::new(0)).collect();
-    let boxed: Box<[AtomicU64; WORDS_PER_PAGE]> = v.into_boxed_slice().try_into().expect("page size");
-    Arc::from(boxed)
+    v.into_boxed_slice().try_into().expect("page size")
 }
 
 /// A live or dead heap block within an address space.
@@ -63,7 +62,7 @@ impl Block {
 /// One device's memory: sparse pages + a bump allocator + block registry.
 pub struct AddressSpace {
     device: DeviceId,
-    pages: RwLock<HashMap<u64, Arc<Page>>>,
+    pages: PageTable<Page>,
     next: AtomicU64,
     blocks: Mutex<BTreeMap<u64, Block>>,
     live_bytes: AtomicU64,
@@ -76,7 +75,7 @@ impl AddressSpace {
     pub fn new(device: DeviceId) -> Self {
         AddressSpace {
             device,
-            pages: RwLock::new(HashMap::new()),
+            pages: PageTable::new(),
             next: AtomicU64::new(device_base(device) + BLOCK_GAP),
             blocks: Mutex::new(BTreeMap::new()),
             live_bytes: AtomicU64::new(0),
@@ -145,7 +144,7 @@ impl AddressSpace {
 
     /// Number of materialised (touched-by-write) pages.
     pub fn page_count(&self) -> usize {
-        self.pages.read().len()
+        self.pages.len()
     }
 
     /// Bytes of backing storage actually materialised.
@@ -154,17 +153,8 @@ impl AddressSpace {
     }
 
     #[inline]
-    fn page_for_write(&self, page_idx: u64) -> Arc<Page> {
-        if let Some(p) = self.pages.read().get(&page_idx) {
-            return p.clone();
-        }
-        let mut w = self.pages.write();
-        w.entry(page_idx).or_insert_with(new_page).clone()
-    }
-
-    #[inline]
-    fn page_for_read(&self, page_idx: u64) -> Option<Arc<Page>> {
-        self.pages.read().get(&page_idx).cloned()
+    fn page_for_write(&self, page_idx: u64) -> &Page {
+        self.pages.get_or_init(page_idx, new_page)
     }
 
     /// Load an aligned 64-bit word. Untouched memory reads as zero without
@@ -172,8 +162,7 @@ impl AddressSpace {
     #[inline]
     pub fn load_word(&self, addr: u64) -> u64 {
         debug_assert_eq!(addr & 7, 0, "unaligned word load at {addr:#x}");
-        let page_idx = addr >> PAGE_SHIFT;
-        match self.page_for_read(page_idx) {
+        match self.pages.get(addr >> PAGE_SHIFT) {
             Some(p) => p[((addr & (PAGE_BYTES - 1)) >> 3) as usize].load(Ordering::Relaxed),
             None => 0,
         }

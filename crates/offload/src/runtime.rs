@@ -322,6 +322,9 @@ struct DepChain {
     last_ins: Vec<(TaskId, Arc<TaskRecord>)>,
 }
 
+/// The attached tools, in attach order.
+type Tools = Arc<Vec<Arc<dyn Tool>>>;
+
 struct Rt {
     cfg: Config,
     criticals: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
@@ -331,7 +334,9 @@ struct Rt {
     spaces: Vec<Arc<AddressSpace>>,
     buffers: RwLock<Vec<BufferInfo>>,
     present: Vec<Mutex<PresentTable>>,
-    tools: RwLock<Vec<Arc<dyn Tool>>>,
+    /// Attached tools. Replaced whole on attach, so a construct can take
+    /// one snapshot and hand it to its kernel threads.
+    tools: RwLock<Tools>,
     next_task: AtomicU32,
     pending: Mutex<Vec<(TaskId, Arc<TaskRecord>)>>,
     deps: Mutex<HashMap<BufferId, DepChain>>,
@@ -380,7 +385,7 @@ impl Runtime {
                 spaces,
                 buffers: RwLock::new(Vec::new()),
                 present,
-                tools: RwLock::new(Vec::new()),
+                tools: RwLock::new(Tools::default()),
                 next_task: AtomicU32::new(1),
                 pending: Mutex::new(Vec::new()),
                 deps: Mutex::new(HashMap::new()),
@@ -406,7 +411,7 @@ impl Runtime {
     /// Attach a tool. Attach all tools before allocating buffers so they
     /// observe every registration.
     pub fn attach(&self, tool: Arc<dyn Tool>) {
-        self.inner.tools.write().push(tool);
+        Arc::make_mut(&mut *self.inner.tools.write()).push(tool);
     }
 
     /// The runtime configuration.
@@ -541,10 +546,6 @@ impl Runtime {
         self.inner.buffer_info(id)
     }
 
-    fn ov_base(&self, id: BufferId) -> u64 {
-        self.inner.buffer_info(id).ov_base
-    }
-
     // ------------------------------------------------------------------
     // Host accesses
     // ------------------------------------------------------------------
@@ -577,7 +578,7 @@ impl Runtime {
             });
         }
         self.inner.coherence_before_host_read(buf.id());
-        let addr = self.ov_base(buf.id()) + (idx * T::SIZE) as u64;
+        let addr = self.inner.ov_base(buf.id()) + (idx * T::SIZE) as u64;
         self.inner.emit_access(AccessEvent {
             device: DeviceId::HOST,
             addr,
@@ -616,7 +617,7 @@ impl Runtime {
             });
         }
         self.inner.coherence_host_write(buf.id());
-        let addr = self.ov_base(buf.id()) + (idx * T::SIZE) as u64;
+        let addr = self.inner.ov_base(buf.id()) + (idx * T::SIZE) as u64;
         self.inner.emit_access(AccessEvent {
             device: DeviceId::HOST,
             addr,
@@ -836,6 +837,13 @@ impl Rt {
     /// True when `device` names the host or a configured accelerator.
     fn device_known(&self, device: DeviceId) -> bool {
         device.is_host() || (device.0 as usize) <= self.present.len()
+    }
+
+    /// OV base address of a buffer, read in place (no `BufferInfo`
+    /// clone); an unknown id is handled as in [`Rt::buffer_info`].
+    fn ov_base(&self, id: BufferId) -> u64 {
+        let base = self.buffers.read().get(id.0 as usize).map(|info| info.ov_base);
+        base.unwrap_or_else(|| self.buffer_info(id).ov_base)
     }
 
     fn buffer_info(&self, id: BufferId) -> BufferInfo {
@@ -1684,7 +1692,9 @@ impl TargetBuilder {
             let env = Arc::new(rt2.kernel_env(exec));
             rt2.coherence_before_kernel(&env, exec, task);
             rt2.emit_unified_flushes(exec, &env, task, TransferKind::ToDevice);
-            let ctx = KernelCtx { rt: rt2.clone(), device: exec, task, env: env.clone(), team_size };
+            let tools = rt2.tools.read().clone();
+            let ctx =
+                KernelCtx { rt: rt2.clone(), tools, device: exec, task, env: env.clone(), team_size };
             body(&ctx);
             rt2.emit_unified_flushes(exec, &env, task, TransferKind::FromDevice);
             if fallback {
@@ -1792,6 +1802,8 @@ impl TaskHandle {
 /// Execution context handed to a target-region body.
 pub struct KernelCtx {
     rt: Arc<Rt>,
+    /// The tools attached when the construct began, shared by its team.
+    tools: Tools,
     device: DeviceId,
     task: TaskId,
     env: Arc<HashMap<BufferId, PresentEntry>>,
@@ -1818,14 +1830,14 @@ impl KernelCtx {
     fn resolve<T: Scalar>(&self, buf: &Buffer<T>, idx: usize) -> (u64, bool) {
         let byte_off = (idx * T::SIZE) as u64;
         if self.device.is_host() {
-            return (self.rt.buffer_info(buf.id()).ov_base + byte_off, true);
+            return (self.rt.ov_base(buf.id()) + byte_off, true);
         }
         match self.env.get(&buf.id()) {
             Some(e) => (e.cv_addr(byte_off), true),
             None => {
                 // Missing map clause: synthesize an address in the
                 // never-allocated region of this device's window.
-                let low = self.rt.buffer_info(buf.id()).ov_base & 0xFFFF_FFFF;
+                let low = self.rt.ov_base(buf.id()) & 0xFFFF_FFFF;
                 (device_base(self.device) + UNMAPPED_REGION_OFFSET + low + byte_off, false)
             }
         }
@@ -1834,6 +1846,13 @@ impl KernelCtx {
     #[inline]
     fn space_for(&self, addr: u64) -> &AddressSpace {
         &self.rt.spaces[device_of(addr).0 as usize]
+    }
+
+    #[inline]
+    fn emit_access(&self, ev: AccessEvent) {
+        for t in self.tools.iter() {
+            t.on_access(&ev);
+        }
     }
 
     /// Tracked kernel read of element `idx` of a mapped buffer. Reads
@@ -1861,7 +1880,7 @@ impl KernelCtx {
         loc: SrcLoc,
     ) -> T {
         let (addr, mapped) = self.resolve(buf, idx);
-        self.rt.emit_access(AccessEvent {
+        self.emit_access(AccessEvent {
             device: self.device,
             addr,
             size: T::SIZE,
@@ -1885,7 +1904,7 @@ impl KernelCtx {
     ) {
         self.rt.coherence_device_write(buf.id(), self.device);
         let (addr, mapped) = self.resolve(buf, idx);
-        self.rt.emit_access(AccessEvent {
+        self.emit_access(AccessEvent {
             device: self.device,
             addr,
             size: T::SIZE,
@@ -1932,7 +1951,7 @@ impl KernelCtx {
         let loc = SrcLoc::caller();
         let (addr, mapped) = self.resolve(buf, idx);
         for is_write in [false, true] {
-            self.rt.emit_access(AccessEvent {
+            self.emit_access(AccessEvent {
                 device: self.device,
                 addr,
                 size: T::SIZE,
@@ -1972,7 +1991,7 @@ impl KernelCtx {
         let loc = SrcLoc::caller();
         let (addr, mapped) = self.resolve(buf, idx);
         for is_write in [false, true] {
-            self.rt.emit_access(AccessEvent {
+            self.emit_access(AccessEvent {
                 device: self.device,
                 addr,
                 size: 8,
@@ -2021,6 +2040,7 @@ impl KernelCtx {
                 let hi = (lo + chunk).min(range.end);
                 let ctx = KernelCtx {
                     rt: self.rt.clone(),
+                    tools: self.tools.clone(),
                     device: self.device,
                     task: child,
                     env: self.env.clone(),
@@ -2061,6 +2081,7 @@ impl KernelCtx {
             for (team, &child) in children.iter().enumerate() {
                 let ctx = KernelCtx {
                     rt: self.rt.clone(),
+                    tools: self.tools.clone(),
                     device: self.device,
                     task: child,
                     env: self.env.clone(),
@@ -2125,6 +2146,7 @@ impl KernelCtx {
                 let hi = (lo + chunk).min(range.end);
                 let ctx = KernelCtx {
                     rt: self.rt.clone(),
+                    tools: self.tools.clone(),
                     device: self.device,
                     task: child,
                     env: self.env.clone(),

@@ -14,6 +14,11 @@
 //! the detector stamps; a range check does this once per transfer. No
 //! engine-wide lock and no clock copy sits on the access path.
 //!
+//! Location history lives in a [`PageTable`] of 4 KiB pages, one mutex
+//! and one state per granule each: a check finds its page with a few plain
+//! loads and locks only that page, and a range check locks each page it
+//! covers once.
+//!
 //! Slots are `u16`. A task's slot goes back to a pool once the task has
 //! ended and been joined, together with its final clock. A fork reuses a
 //! pooled slot only when the forking parent's clock already covers that
@@ -29,8 +34,9 @@
 //! the zero epoch.
 
 use crate::clock::{Epoch, VectorClock, MAX_TIDS};
-use arbalest_sync::{Mutex, RwLock};
+use arbalest_sync::{Mutex, PageTable, RwLock};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Byte range of an access within its granule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,26 +124,101 @@ impl SharedReads {
     }
 }
 
+/// Read side of a granule: the last read's epoch while reads are ordered,
+/// else the concurrent readers. The epoch variant keeps its fields beside
+/// the tag, so the whole state stays 16 bytes.
 #[derive(Debug, Clone)]
 enum ReadState {
-    Epoch(Epoch, ByteRange),
+    Epoch { tid: u16, range: ByteRange, clock: u64 },
     Shared(Box<SharedReads>),
 }
 
+impl ReadState {
+    const fn epoch(e: Epoch, range: ByteRange) -> ReadState {
+        ReadState::Epoch { tid: e.tid, range, clock: e.clock }
+    }
+
+    /// Heap bytes held beyond the enum itself.
+    fn heap_bytes(&self) -> u64 {
+        match self {
+            ReadState::Shared(reads) => reads.heap_bytes(),
+            ReadState::Epoch { .. } => 0,
+        }
+    }
+}
+
+/// One granule's FastTrack state, laid out flat: 32 bytes, so a history
+/// page of 512 granules is 16 KiB.
 #[derive(Debug, Clone)]
 struct LocState {
-    write: Epoch,
-    write_range: ByteRange,
+    write_clock: u64,
     read: ReadState,
+    write_tid: u16,
+    write_range: ByteRange,
 }
 
 impl LocState {
-    fn new() -> Self {
-        LocState {
-            write: Epoch::ZERO,
-            write_range: ByteRange::WORD,
-            read: ReadState::Epoch(Epoch::ZERO, ByteRange::WORD),
+    const NEW: LocState = LocState {
+        write_clock: 0,
+        read: ReadState::epoch(Epoch::ZERO, ByteRange::WORD),
+        write_tid: 0,
+        write_range: ByteRange::WORD,
+    };
+
+    #[inline]
+    fn write(&self) -> Epoch {
+        Epoch { tid: self.write_tid, clock: self.write_clock }
+    }
+
+    /// Whether the state is still the one of a granule nobody accessed.
+    fn is_new(&self) -> bool {
+        self.write() == Epoch::ZERO
+            && self.write_range == ByteRange::WORD
+            && matches!(self.read, ReadState::Epoch { tid: 0, clock: 0, range } if range == ByteRange::WORD)
+    }
+}
+
+/// Log2 of the application bytes one history page covers.
+const PAGE_SHIFT: u32 = 12;
+/// Granules per history page.
+const PAGE_GRANULES: usize = 1 << (PAGE_SHIFT - 3);
+
+/// The FastTrack states of one 4 KiB page's granules, behind one lock.
+type HistoryPage = Box<Mutex<[LocState; PAGE_GRANULES]>>;
+
+fn new_history_page() -> HistoryPage {
+    Box::new(Mutex::new([const { LocState::NEW }; PAGE_GRANULES]))
+}
+
+/// Per-location access history: the pages, plus the heap bytes of shared
+/// read states, which the pages do not hold inline.
+#[derive(Default)]
+struct History {
+    pages: PageTable<HistoryPage>,
+    shared_bytes: AtomicU64,
+}
+
+impl History {
+    /// Run `f` on the states of the granules `[lo, hi)` of one page, in
+    /// ascending order, under the page's lock once.
+    #[inline]
+    fn with_granules(&self, lo: u64, hi: u64, mut f: impl FnMut(&mut LocState)) {
+        let page = self.pages.get_or_init(lo >> PAGE_SHIFT, new_history_page);
+        let mut locs = page.lock();
+        for g in (lo..hi).step_by(8) {
+            let loc = &mut locs[(g >> 3) as usize % PAGE_GRANULES];
+            let before = loc.read.heap_bytes();
+            f(loc);
+            let after = loc.read.heap_bytes();
+            if after != before {
+                self.shared_bytes.fetch_add(after.wrapping_sub(before), Relaxed);
+            }
         }
+    }
+
+    fn bytes(&self) -> u64 {
+        let page = std::mem::size_of::<Mutex<[LocState; PAGE_GRANULES]>>() as u64;
+        self.pages.len() as u64 * page + self.pages.node_bytes() + self.shared_bytes.load(Relaxed)
     }
 }
 
@@ -214,8 +295,8 @@ impl SlotPool {
     }
 }
 
-const SHARDS: usize = 64;
-const TASK_SHARDS: usize = 16;
+/// Task tables, split by task id: each behind its own lock.
+const TASK_TABLES: usize = 16;
 
 /// One task's clock state in a [`RaceSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -294,7 +375,7 @@ pub struct RaceEngine {
     /// Task cells, sharded by task id.
     tasks: Vec<RwLock<HashMap<u32, TaskCell>>>,
     slots: Mutex<SlotPool>,
-    shards: Vec<Mutex<HashMap<u64, LocState>>>,
+    history: History,
     /// Release clocks of lock objects (`omp critical` support).
     locks: Mutex<HashMap<u64, VectorClock>>,
 }
@@ -316,16 +397,16 @@ impl RaceEngine {
 
     fn empty(slots: SlotPool) -> Self {
         RaceEngine {
-            tasks: (0..TASK_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            tasks: (0..TASK_TABLES).map(|_| RwLock::new(HashMap::new())).collect(),
             slots: Mutex::new(slots),
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            history: History::default(),
             locks: Mutex::new(HashMap::new()),
         }
     }
 
     #[inline]
     fn task_shard(&self, task: u32) -> &RwLock<HashMap<u32, TaskCell>> {
-        &self.tasks[task as usize % TASK_SHARDS]
+        &self.tasks[task as usize % TASK_TABLES]
     }
 
     /// Run `f` on the task's cell (an empty one for unknown tasks) under
@@ -420,52 +501,43 @@ impl RaceEngine {
         });
     }
 
-    #[inline]
-    fn shard(&self, granule: u64) -> &Mutex<HashMap<u64, LocState>> {
-        // Mix the granule index so consecutive granules spread over shards.
-        let g = granule >> 3;
-        let h = g.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 58) as usize % SHARDS]
-    }
-
     /// FastTrack check of one granule access by `cell`; records it.
     fn check_granule(
-        &self,
         cell: &TaskCell,
-        granule: u64,
+        loc: &mut LocState,
         range: ByteRange,
         is_write: bool,
     ) -> Option<RaceInfo> {
         let me = cell.epoch();
-        let mut shard = self.shard(granule).lock();
-        let loc = shard.entry(granule).or_insert_with(LocState::new);
         let mut race = None;
-        if !loc.write.is_zero() && !cell.covers(loc.write) && range.overlaps(loc.write_range) {
-            race = Some(RaceInfo::of(loc.write, true));
+        let write = loc.write();
+        if !write.is_zero() && !cell.covers(write) && range.overlaps(loc.write_range) {
+            race = Some(RaceInfo::of(write, true));
         }
         if is_write {
             if race.is_none() {
                 race = match &loc.read {
-                    ReadState::Epoch(e, r) => {
-                        (!e.is_zero() && !cell.covers(*e) && range.overlaps(*r)).then_some(*e)
+                    &ReadState::Epoch { tid, range: r, clock } => {
+                        let e = Epoch { tid, clock };
+                        (!e.is_zero() && !cell.covers(e) && range.overlaps(r)).then_some(e)
                     }
                     ReadState::Shared(reads) => reads.racing(cell, range.mask()),
                 }
                 .map(|e| RaceInfo::of(e, false));
             }
-            loc.write = me;
+            (loc.write_tid, loc.write_clock) = (me.tid, me.clock);
             loc.write_range = range;
-            loc.read = ReadState::Epoch(Epoch::ZERO, range);
+            loc.read = ReadState::epoch(Epoch::ZERO, range);
         } else {
             match &mut loc.read {
-                ReadState::Epoch(e, r) => {
-                    if e.is_zero() || cell.covers(*e) {
-                        *e = me;
-                        *r = range;
+                &mut ReadState::Epoch { tid, range: r, clock } => {
+                    let e = Epoch { tid, clock };
+                    if e.is_zero() || cell.covers(e) {
+                        loc.read = ReadState::epoch(me, range);
                     } else {
                         // Concurrent reads: promote to a shared read state.
                         let mut reads = SharedReads::default();
-                        reads.note(*e, r.mask());
+                        reads.note(e, r.mask());
                         reads.note(me, range.mask());
                         loc.read = ReadState::Shared(Box::new(reads));
                     }
@@ -478,9 +550,13 @@ impl RaceEngine {
 
     fn check(&self, task: u32, addr: u64, size: u8, is_write: bool) -> Checked {
         let range = ByteRange { offset: (addr & 7) as u8, size };
-        self.with_task(task, |cell| Checked {
-            epoch: cell.epoch(),
-            race: self.check_granule(cell, addr & !7, range, is_write),
+        let granule = addr & !7;
+        self.with_task(task, |cell| {
+            let mut race = None;
+            self.history.with_granules(granule, granule.saturating_add(8), |loc| {
+                race = Self::check_granule(cell, loc, range, is_write);
+            });
+            Checked { epoch: cell.epoch(), race }
         })
     }
 
@@ -500,10 +576,17 @@ impl RaceEngine {
         let end = addr.saturating_add(len);
         self.with_task(task, |cell| {
             let mut first = None;
-            for g in (addr & !7..end).step_by(8) {
-                if let Some(r) = self.check_granule(cell, g, ByteRange::WORD, is_write) {
-                    first.get_or_insert(r);
-                }
+            let mut lo = addr & !7;
+            while lo < end {
+                // The granules of `lo`'s page that the range covers.
+                let page_end = (lo | ((1 << PAGE_SHIFT) - 1)).saturating_add(1);
+                let hi = end.min(page_end);
+                self.history.with_granules(lo, hi, |loc| {
+                    if let Some(r) = Self::check_granule(cell, loc, ByteRange::WORD, is_write) {
+                        first.get_or_insert(r);
+                    }
+                });
+                lo = page_end;
             }
             first
         })
@@ -530,10 +613,8 @@ impl RaceEngine {
     /// safe in the no-false-positive direction. Task and lock clocks are
     /// small and retaining them keeps every happens-before edge intact
     /// for accesses made after the eviction.
-    pub fn evict_history(&self) {
-        for s in &self.shards {
-            s.lock().clear();
-        }
+    pub fn evict_history(&mut self) {
+        self.history = History::default();
     }
 
     /// Dump the complete engine state as plain data for durable session
@@ -553,21 +634,24 @@ impl RaceEngine {
         }
         tasks.sort_unstable_by_key(|t| t.task);
         let mut locs: Vec<(u64, LocSnapshot)> = Vec::new();
-        for s in &self.shards {
-            for (&granule, loc) in s.lock().iter() {
+        self.history.pages.for_each(|idx, page| {
+            for (g, loc) in page.lock().iter().enumerate() {
+                if loc.is_new() {
+                    continue;
+                }
                 locs.push((
-                    granule,
+                    (idx << PAGE_SHIFT) | ((g as u64) << 3),
                     LocSnapshot {
-                        write_tid: loc.write.tid,
-                        write_clock: loc.write.clock,
+                        write_tid: loc.write_tid,
+                        write_clock: loc.write_clock,
                         write_offset: loc.write_range.offset,
                         write_size: loc.write_range.size,
                         read: match &loc.read {
-                            ReadState::Epoch(e, r) => ReadSnapshot::Epoch {
-                                tid: e.tid,
-                                clock: e.clock,
-                                offset: r.offset,
-                                size: r.size,
+                            &ReadState::Epoch { tid, range, clock } => ReadSnapshot::Epoch {
+                                tid,
+                                clock,
+                                offset: range.offset,
+                                size: range.size,
                             },
                             ReadState::Shared(reads) => ReadSnapshot::Shared(
                                 reads.0.iter().map(|&(e, m)| (e.tid, e.clock, m)).collect(),
@@ -576,8 +660,7 @@ impl RaceEngine {
                     },
                 ));
             }
-        }
-        locs.sort_unstable_by_key(|&(g, _)| g);
+        });
         let mut locks: Vec<(u64, Vec<u64>)> =
             self.locks.lock().iter().map(|(&l, vc)| (l, vc.slot_values().to_vec())).collect();
         locks.sort_unstable_by_key(|&(l, _)| l);
@@ -612,16 +695,16 @@ impl RaceEngine {
             );
         }
         for (granule, loc) in &snap.locs {
-            engine.shard(*granule).lock().insert(
-                *granule,
-                LocState {
-                    write: Epoch { tid: loc.write_tid, clock: loc.write_clock },
+            let granule = granule & !7;
+            engine.history.with_granules(granule, granule.saturating_add(8), |state| {
+                *state = LocState {
+                    write_clock: loc.write_clock,
+                    write_tid: loc.write_tid,
                     write_range: ByteRange { offset: loc.write_offset, size: loc.write_size },
                     read: match &loc.read {
-                        ReadSnapshot::Epoch { tid, clock, offset, size } => ReadState::Epoch(
-                            Epoch { tid: *tid, clock: *clock },
-                            ByteRange { offset: *offset, size: *size },
-                        ),
+                        &ReadSnapshot::Epoch { tid, clock, offset, size } => {
+                            ReadState::Epoch { tid, range: ByteRange { offset, size }, clock }
+                        }
                         ReadSnapshot::Shared(reads) => ReadState::Shared(Box::new(SharedReads(
                             reads
                                 .iter()
@@ -629,8 +712,8 @@ impl RaceEngine {
                                 .collect(),
                         ))),
                     },
-                },
-            );
+                };
+            });
         }
         {
             let mut locks = engine.locks.lock();
@@ -641,32 +724,17 @@ impl RaceEngine {
         engine
     }
 
-    /// Approximate bytes held by clocks and location states, shared-read
-    /// entries included (Fig. 9).
+    /// Approximate bytes held by clocks and location history (Fig. 9):
+    /// whole history pages, the table nodes above them and the shared-read
+    /// entries.
     pub fn approx_bytes(&self) -> u64 {
         let task_bytes: u64 = self
             .tasks
             .iter()
             .map(|s| s.read().values().map(|t| t.vc.approx_bytes() + 32).sum::<u64>())
             .sum();
-        let loc_bytes: u64 = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .values()
-                    .map(|loc| {
-                        let shared = match &loc.read {
-                            ReadState::Shared(reads) => reads.heap_bytes(),
-                            ReadState::Epoch(..) => 0,
-                        };
-                        (std::mem::size_of::<LocState>() + 16) as u64 + shared
-                    })
-                    .sum::<u64>()
-            })
-            .sum();
         let lock_bytes: u64 = self.locks.lock().values().map(|v| v.approx_bytes() + 16).sum();
-        task_bytes + loc_bytes + lock_bytes
+        task_bytes + self.history.bytes() + lock_bytes
     }
 }
 
@@ -890,15 +958,16 @@ mod tests {
         }
         let (a, b) = (4198, 4199);
         assert!(e.epoch_of(a).tid > 4095 && e.epoch_of(b).tid > 4095);
+        e.check_read(a, 0x3008, 8); // the history page is resident from here on
         let before = e.approx_bytes();
         e.check_read(a, 0x3000, 8);
         e.check_read(b, 0x3000, 8); // promotes to a shared state
         let grown = e.approx_bytes() - before;
-        let loc = (std::mem::size_of::<LocState>() + 16) as u64;
-        assert!(grown > loc, "the shared entries are counted");
+        assert!(grown > 0, "the shared entries are counted");
         assert!(grown < 512, "two readers on high slots hold {grown} bytes");
         let race = e.check_write(4200, 0x3000, 8).race.expect("unordered readers");
         assert_eq!(race.prev_tid, e.epoch_of(a).tid, "the lower reading slot is named");
+        assert_eq!(e.approx_bytes(), before, "the write dropped the shared entries");
         let snap = e.to_snapshot();
         assert_eq!(RaceEngine::from_snapshot(&snap).to_snapshot(), snap);
     }
@@ -972,6 +1041,11 @@ mod tests {
         assert_ne!(e.epoch_of(8).tid, e.epoch_of(7).tid);
         assert!(e.check_write(8, 0x2000, 8).race.is_some());
         assert!(e.check_write_range(9, u64::MAX - 4, 64).is_none());
-        assert!(e.approx_bytes() < 1 << 16);
+        e.check_write(7, u64::MAX - 3, 4);
+        assert!(e.check_write(8, u64::MAX - 3, 4).race.is_some(), "the top granule is checked");
+        // Only the two touched history pages, with the table nodes above
+        // them, hold memory; the clocks stay small.
+        assert_eq!(e.history.pages.len(), 2);
+        assert!(e.approx_bytes() - e.history.bytes() < 1 << 12);
     }
 }

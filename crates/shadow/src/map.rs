@@ -7,14 +7,15 @@
 //! analysis is fully concurrent and lock-free on the hot path, as the
 //! paper requires (§IV-C).
 //!
-//! Shadow pages are materialised on first touch; the page table mirrors
-//! the direct address mapping of the LLVM sanitizer runtimes. Resident
-//! shadow bytes are tracked for the Fig. 9 space measurement.
+//! Shadow pages are materialised on first touch in a lock-free
+//! [`PageTable`], which stands in for the direct address mapping of the
+//! LLVM sanitizer runtimes: finding a granule's cell takes a few plain
+//! loads, so the CAS is the only synchronisation an update pays. Resident
+//! shadow bytes, table nodes included, are tracked for the Fig. 9 space
+//! measurement.
 
-use arbalest_sync::RwLock;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use arbalest_sync::PageTable;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Log2 of the application bytes covered by one shadow page.
 const APP_PAGE_SHIFT: u32 = 12;
@@ -23,30 +24,20 @@ const APP_PAGE_BYTES: u64 = 1 << APP_PAGE_SHIFT;
 /// Granules per shadow page.
 const GRANULES_PER_PAGE: usize = (APP_PAGE_BYTES / 8) as usize;
 
-struct ShadowPage {
-    cells: Box<[AtomicU64]>,
-}
-
-impl ShadowPage {
-    fn new(slots: usize) -> ShadowPage {
-        let cells: Vec<AtomicU64> =
-            (0..GRANULES_PER_PAGE * slots).map(|_| AtomicU64::new(0)).collect();
-        ShadowPage { cells: cells.into_boxed_slice() }
-    }
-}
+/// One shadow page: `slots` cells for each granule of a 4 KiB page.
+type ShadowPage = Box<[AtomicU64]>;
 
 /// Sparse direct-mapped shadow over the logical address space.
 pub struct ShadowMemory {
     slots: usize,
-    pages: RwLock<HashMap<u64, Arc<ShadowPage>>>,
-    page_count: AtomicUsize,
+    pages: PageTable<ShadowPage>,
 }
 
 impl ShadowMemory {
     /// Create a shadow with `slots` 64-bit cells per 8-byte granule.
     pub fn new(slots: usize) -> ShadowMemory {
         assert!(slots >= 1);
-        ShadowMemory { slots, pages: RwLock::new(HashMap::new()), page_count: AtomicUsize::new(0) }
+        ShadowMemory { slots, pages: PageTable::new() }
     }
 
     /// Cells per granule.
@@ -54,9 +45,14 @@ impl ShadowMemory {
         self.slots
     }
 
-    /// Resident shadow bytes (Fig. 9 accounting).
+    fn new_page(&self) -> ShadowPage {
+        (0..GRANULES_PER_PAGE * self.slots).map(|_| AtomicU64::new(0)).collect()
+    }
+
+    /// Resident shadow bytes (Fig. 9 accounting): every page and every
+    /// node of the table that holds them.
     pub fn resident_bytes(&self) -> u64 {
-        (self.page_count.load(Ordering::Relaxed) * GRANULES_PER_PAGE * self.slots * 8) as u64
+        (self.pages.len() * GRANULES_PER_PAGE * self.slots * 8) as u64 + self.pages.node_bytes()
     }
 
     /// Drop every resident shadow page, returning the bytes freed.
@@ -65,27 +61,15 @@ impl ShadowMemory {
     /// interpret shadow state must switch to a conservative ("May") mode
     /// after eviction rather than trusting the reset state. This is the
     /// memory-pressure escape hatch for long-lived analysis sessions.
-    pub fn evict_all(&self) -> u64 {
-        let mut pages = self.pages.write();
-        let freed = (pages.len() * GRANULES_PER_PAGE * self.slots * 8) as u64;
-        pages.clear();
-        self.page_count.store(0, Ordering::Relaxed);
-        freed
+    pub fn evict_all(&mut self) -> u64 {
+        let before = self.resident_bytes();
+        self.pages.clear();
+        before - self.resident_bytes()
     }
 
     #[inline]
-    fn page(&self, addr: u64) -> Arc<ShadowPage> {
-        let idx = addr >> APP_PAGE_SHIFT;
-        if let Some(p) = self.pages.read().get(&idx) {
-            return p.clone();
-        }
-        let mut w = self.pages.write();
-        w.entry(idx)
-            .or_insert_with(|| {
-                self.page_count.fetch_add(1, Ordering::Relaxed);
-                Arc::new(ShadowPage::new(self.slots))
-            })
-            .clone()
+    fn page(&self, addr: u64) -> &ShadowPage {
+        self.pages.get_or_init(addr >> APP_PAGE_SHIFT, || self.new_page())
     }
 
     #[inline]
@@ -98,9 +82,8 @@ impl ShadowMemory {
     /// Relaxed load of a shadow cell. Untouched shadow reads as zero.
     #[inline]
     pub fn load(&self, addr: u64, slot: usize) -> u64 {
-        let idx = addr >> APP_PAGE_SHIFT;
-        match self.pages.read().get(&idx) {
-            Some(p) => p.cells[self.cell_index(addr, slot)].load(Ordering::Relaxed),
+        match self.pages.get(addr >> APP_PAGE_SHIFT) {
+            Some(p) => p[self.cell_index(addr, slot)].load(Ordering::Relaxed),
             None => 0,
         }
     }
@@ -108,8 +91,7 @@ impl ShadowMemory {
     /// Unconditional store to a shadow cell.
     #[inline]
     pub fn store(&self, addr: u64, slot: usize, value: u64) {
-        let page = self.page(addr);
-        page.cells[self.cell_index(addr, slot)].store(value, Ordering::Relaxed);
+        self.page(addr)[self.cell_index(addr, slot)].store(value, Ordering::Relaxed);
     }
 
     /// Lock-free read-modify-write of a shadow cell via CAS, the paper's
@@ -131,8 +113,7 @@ impl ShadowMemory {
         slot: usize,
         mut f: impl FnMut(u64) -> u64,
     ) -> (u64, u64, u32) {
-        let page = self.page(addr);
-        let cell = &page.cells[self.cell_index(addr, slot)];
+        let cell = &self.page(addr)[self.cell_index(addr, slot)];
         let mut cur = cell.load(Ordering::Relaxed);
         let mut retries = 0u32;
         loop {
@@ -170,16 +151,14 @@ impl ShadowMemory {
 
     /// Dump every resident page as a `(page_index, cells)` pair, sorted by
     /// page index so two dumps of identical shadow state are identical
-    /// byte-for-byte regardless of hash-map iteration order. Cell layout
-    /// inside a page is `granule * slots + slot`, the same order
-    /// [`restore_pages`](Self::restore_pages) expects back.
+    /// byte-for-byte. Cell layout inside a page is `granule * slots +
+    /// slot`, the same order [`restore_pages`](Self::restore_pages)
+    /// expects back.
     pub fn snapshot_pages(&self) -> Vec<(u64, Vec<u64>)> {
-        let pages = self.pages.read();
-        let mut out: Vec<(u64, Vec<u64>)> = pages
-            .iter()
-            .map(|(&idx, p)| (idx, p.cells.iter().map(|c| c.load(Ordering::Relaxed)).collect()))
-            .collect();
-        out.sort_unstable_by_key(|&(idx, _)| idx);
+        let mut out = Vec::with_capacity(self.pages.len());
+        self.pages.for_each(|idx, p| {
+            out.push((idx, p.iter().map(|c| c.load(Ordering::Relaxed)).collect()));
+        });
         out
     }
 
@@ -188,23 +167,15 @@ impl ShadowMemory {
     /// the shadow evicted-to-zero) if any page's cell count does not match
     /// this shadow's `slots` layout — a snapshot from a different
     /// configuration must never be installed as wrong state.
-    pub fn restore_pages(&self, dump: &[(u64, Vec<u64>)]) -> bool {
-        let expect = GRANULES_PER_PAGE * self.slots;
-        let mut pages = self.pages.write();
-        pages.clear();
-        for (idx, cells) in dump {
-            if cells.len() != expect {
-                pages.clear();
-                self.page_count.store(0, Ordering::Relaxed);
-                return false;
-            }
-            let page = ShadowPage::new(self.slots);
-            for (cell, &v) in page.cells.iter().zip(cells.iter()) {
-                cell.store(v, Ordering::Relaxed);
-            }
-            pages.insert(*idx, Arc::new(page));
+    pub fn restore_pages(&mut self, dump: &[(u64, Vec<u64>)]) -> bool {
+        self.pages.clear();
+        if dump.iter().any(|(_, cells)| cells.len() != GRANULES_PER_PAGE * self.slots) {
+            return false;
         }
-        self.page_count.store(pages.len(), Ordering::Relaxed);
+        for (idx, cells) in dump {
+            let page: ShadowPage = cells.iter().map(|&v| AtomicU64::new(v)).collect();
+            self.pages.get_or_init(*idx, || page);
+        }
         true
     }
 }
@@ -256,7 +227,7 @@ mod tests {
 
     #[test]
     fn update_is_atomic_under_contention() {
-        let s = Arc::new(ShadowMemory::new(1));
+        let s = std::sync::Arc::new(ShadowMemory::new(1));
         let mut handles = vec![];
         for _ in 0..8 {
             let s = s.clone();
@@ -311,7 +282,7 @@ mod tests {
         let dump = s.snapshot_pages();
         assert_eq!(dump.len(), 2);
         assert!(dump[0].0 < dump[1].0, "pages must be sorted by index");
-        let t = ShadowMemory::new(2);
+        let mut t = ShadowMemory::new(2);
         assert!(t.restore_pages(&dump));
         assert_eq!(t.load(0x9000, 0), 7);
         assert_eq!(t.load(0x9000, 1), 8);
@@ -325,7 +296,7 @@ mod tests {
         let s = ShadowMemory::new(1);
         s.store(0x1000, 0, 1);
         let dump = s.snapshot_pages();
-        let t = ShadowMemory::new(2);
+        let mut t = ShadowMemory::new(2);
         assert!(!t.restore_pages(&dump));
         assert_eq!(t.resident_bytes(), 0, "failed restore must leave zero state");
     }
@@ -336,6 +307,10 @@ mod tests {
         let s4 = ShadowMemory::new(4);
         s1.store(0x1000, 0, 1);
         s4.store(0x1000, 0, 1);
-        assert_eq!(s4.resident_bytes(), 4 * s1.resident_bytes());
+        // The page grows with the slots; the table nodes above it do not.
+        assert_eq!(s4.resident_bytes() - s1.resident_bytes(), 3 * APP_PAGE_BYTES);
+        let s8 = ShadowMemory::new(8);
+        s8.store(0x1000, 0, 1);
+        assert_eq!(s8.resident_bytes() - s4.resident_bytes(), 4 * APP_PAGE_BYTES);
     }
 }

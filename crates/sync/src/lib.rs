@@ -1,4 +1,5 @@
-//! Poison-tolerant synchronisation primitives with a `parking_lot`-style API.
+//! Poison-tolerant synchronisation primitives with a `parking_lot`-style API,
+//! and the lock-free [`PageTable`] under every sparse side table.
 //!
 //! The workspace builds hermetically (no registry access), so every external
 //! dependency is banned. This crate wraps `std::sync` primitives behind the
@@ -10,6 +11,10 @@
 //! body that panics must not wedge the whole process.
 
 #![warn(missing_docs)]
+
+mod page_table;
+
+pub use page_table::PageTable;
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
