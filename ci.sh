@@ -7,40 +7,56 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo build --workspace --release"
+# Each step's wall time (bash SECONDS), printed with the total at the end.
+STEP=""
+STEP_T0=0
+STEP_TIMES=()
+end_step() {
+    if [[ -n "$STEP" ]]; then
+        STEP_TIMES+=("$(printf '%5d s  %s' $((SECONDS - STEP_T0)) "$STEP")")
+    fi
+}
+step() {
+    end_step
+    STEP="$1"
+    STEP_T0=$SECONDS
+    echo "==> $1"
+}
+
+step "cargo build --workspace --release"
 cargo build --workspace --release
 
-echo "==> perfbench build (the benchmark is a package of its own)"
+step "perfbench build (the benchmark is a package of its own)"
 # Same target directory as perfbench/run.py; --locked fails the step if
 # perfbench/Cargo.lock would change.
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked --quiet \
     --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo test -q (tier-1: root package)"
+step "cargo test -q (tier-1: root package)"
 cargo test -q
 
-echo "==> cargo test --workspace -q"
+step "cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> arbalest lint all (static analyzer gate)"
+step "arbalest lint all (static analyzer gate)"
 # Exit code enforces the contract: buggy models flagged, correct silent.
 ./target/release/arbalest lint all --quiet
 
-echo "==> arbalest fuzz-lint --seeds 64 (differential soundness gate)"
+step "arbalest fuzz-lint --seeds 64 (differential soundness gate)"
 # Generated programs + all 56 DRACC models through both detectors:
 # every static Must confirmed dynamically, every dynamic report
 # statically anticipated.
 ./target/release/arbalest fuzz-lint --seeds 64 --quiet
 
-echo "==> arbalest fix all (repair synthesis gate)"
+step "arbalest fix all (repair synthesis gate)"
 # Every model convicted at Must needs a synthesized repair clearing
 # both oracles (static re-check clean, zero dynamic reports).
 ./target/release/arbalest fix all --quiet
 
-echo "==> arbalest optimize (SPEC report-parity gate)"
+step "arbalest optimize (SPEC report-parity gate)"
 # Transfer minimization must hold diagnostics byte-identical; the
 # --apply-check re-verification fails the run on any parity break.
 for w in postencil polbm pomriq pep pcg; do
@@ -48,25 +64,25 @@ for w in postencil polbm pomriq pep pcg; do
 done
 
 if [[ "${RUN_SOAK:-1}" == "1" ]]; then
-    echo "==> fault-injection soak (ignored test, bounded)"
+    step "fault-injection soak (ignored test, bounded)"
     cargo test -q --test soak -- --ignored
 
-    echo "==> race-engine reference sweep (3000 seeds + >4096-task programs, 60s budget)"
+    step "race-engine reference sweep (3000 seeds + >4096-task programs, 60s budget)"
     # Compile outside the wall-clock budget; only the sweep itself is bounded.
     cargo test -q --release --test oracle_race --no-run
     timeout 60 cargo test -q --release --test oracle_race -- --ignored
 
-    echo "==> page-table stress (racing first touches against readers, 60s budget)"
+    step "page-table stress (racing first touches against readers, 60s budget)"
     cargo test -q --release -p arbalest-sync --no-run
     timeout 60 cargo test -q --release -p arbalest-sync -- --ignored
 
-    echo "==> network-chaos soak (all DRACC cases, fixed seeds, 60s budget)"
+    step "network-chaos soak (all DRACC cases, fixed seeds, 60s budget)"
     # Compile outside the wall-clock budget; only the soak itself is bounded.
     cargo test -q --release -p arbalest-server --test chaos_soak --no-run
     timeout 60 cargo test -q --release -p arbalest-server --test chaos_soak -- --ignored
 fi
 
-echo "==> analysis-service smoke (unix socket, 30s budget)"
+step "analysis-service smoke (unix socket, 30s budget)"
 SOCK="$(mktemp -u /tmp/arbalest-ci-XXXXXX.sock)"
 TRACE="$(mktemp /tmp/arbalest-ci-XXXXXX.trace)"
 ARB=./target/release/arbalest
@@ -97,7 +113,7 @@ trap - EXIT
 rm -f "$SOCK" "$TRACE"
 echo "    server smoke OK"
 
-echo "==> crash-recovery smoke (kill -9 mid-session, 60s budget)"
+step "crash-recovery smoke (kill -9 mid-session, 60s budget)"
 DATA="$(mktemp -d /tmp/arbalest-ci-XXXXXX.data)"
 DSOCK="$(mktemp -u /tmp/arbalest-ci-XXXXXX.sock)"
 DTRACE="$(mktemp /tmp/arbalest-ci-XXXXXX.trace)"
@@ -141,7 +157,7 @@ trap - EXIT
 rm -rf "$DSOCK" "$DTRACE" "$DATA"
 echo "    crash-recovery smoke OK"
 
-echo "==> causal-tracing smoke (serve --trace-dir, 30s budget)"
+step "causal-tracing smoke (serve --trace-dir, 30s budget)"
 TSOCK="$(mktemp -u /tmp/arbalest-ci-XXXXXX.sock)"
 TDIR="$(mktemp -d /tmp/arbalest-ci-XXXXXX.traces)"
 timeout 30 "$ARB" serve --listen "unix:$TSOCK" --shards 2 --trace-dir "$TDIR" &
@@ -167,14 +183,14 @@ trap - EXIT
 rm -rf "$TSOCK" "$TDIR"
 echo "    causal-tracing smoke OK"
 
-echo "==> arbalest explain smoke (provenance chains agree with hints)"
+step "arbalest explain smoke (provenance chains agree with hints)"
 EXPLAIN_OUT="$("$ARB" explain 22)"
 echo "$EXPLAIN_OUT" | grep -q "causal VSM history" \
     || { echo "explain 22 produced no provenance chain"; exit 1; }
 echo "$EXPLAIN_OUT" | grep -q "read_target" \
     || { echo "explain 22 chain lacks the faulting read"; exit 1; }
 
-echo "==> observability smoke (metrics + trace dumps parse)"
+step "observability smoke (metrics + trace dumps parse)"
 METRICS="$(mktemp /tmp/arbalest-ci-XXXXXX.metrics.json)"
 SPANS="$(mktemp /tmp/arbalest-ci-XXXXXX.trace.jsonl)"
 "$ARB" dracc 22 --quiet --metrics-out "$METRICS" --trace-out "$SPANS"
@@ -191,9 +207,13 @@ PY
 rm -f "$METRICS" "$SPANS"
 echo "    observability smoke OK"
 
-echo "==> observability overhead gate (quick, <=5%)"
+step "observability overhead gate (quick, <=5%)"
 OBS_OUT="$(mktemp /tmp/arbalest-ci-XXXXXX.obs.json)"
 ./target/release/obs_overhead --quick --budget 5 --out "$OBS_OUT"
 rm -f "$OBS_OUT"
 
+end_step
+echo "==> wall time per step"
+printf '    %s\n' "${STEP_TIMES[@]}"
+echo "    total ${SECONDS} s"
 echo "CI OK"

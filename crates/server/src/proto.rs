@@ -413,10 +413,13 @@ impl Frame {
         Ok(())
     }
 
-    /// Read one frame. `keep_waiting` is polled on read timeouts (streams
-    /// with a read timeout set), letting servers notice a shutdown without
-    /// an extra wake-up channel; return `false` to abort with
-    /// [`ProtoError::ShuttingDown`].
+    /// Read one frame. `keep_waiting` is asked whenever a read fails with
+    /// `WouldBlock`, `TimedOut` or `Interrupted` (a read timeout expired,
+    /// or the reader was woken); return `false` to abort with
+    /// [`ProtoError::ShuttingDown`]. The server sets each read's timeout
+    /// to the time left on its idle or deadline clock, and its stop wakes
+    /// a blocked read with `shutdown(Read)`, whose EOF its reader turns
+    /// into an interrupt.
     pub fn read_from(
         r: &mut impl Read,
         keep_waiting: &mut dyn FnMut() -> bool,

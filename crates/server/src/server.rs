@@ -3,10 +3,16 @@
 //!
 //! One thread accepts connections (TCP or Unix-domain); each connection
 //! gets a handler thread that speaks the frame protocol and routes work
-//! into the [`ShardPool`]. Shutdown is graceful by construction: the
-//! `Shutdown` frame (or [`ServerHandle::stop`]) stops the accept loop,
-//! wakes every handler out of its next read timeout, and then drains the
-//! shard queues to completion before the workers exit.
+//! into the [`ShardPool`]. Nothing on the path from a request to its
+//! answer sleeps or polls: the accept blocks, and each read waits at most
+//! the time left on its idle or request-deadline clock.
+//!
+//! Shutdown is graceful by construction. The `Shutdown` frame (or
+//! [`Server::stop`]) sets the stop flag, wakes the blocking accept with
+//! one self-connect that is never served, and cuts every handler's read
+//! short with `shutdown(Read)` on a stream clone registered at accept
+//! time. The last handler out signals a condvar, and then the shard
+//! queues drain to completion before the workers exit.
 
 use crate::proto::{Frame, ProtoError, WIRE_VERSION};
 use crate::shard::ShardPool;
@@ -16,15 +22,16 @@ use arbalest_core::ArbalestConfig;
 use arbalest_obs::{Counter, Registry};
 use arbalest_store::{SessionLog, Store};
 use arbalest_sync::{Condvar, Mutex};
-use std::collections::HashSet;
+use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Where the server listens (or a client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,12 +154,40 @@ enum Stream {
     Unix(UnixStream),
 }
 
+impl Listener {
+    fn accept(&self) -> std::io::Result<Stream> {
+        match self {
+            Listener::Tcp(l) => l.accept().map(|(s, _)| {
+                let _ = s.set_nodelay(true); // replies are single writes
+                Stream::Tcp(s)
+            }),
+            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+        }
+    }
+}
+
 impl Stream {
     fn set_read_timeout(&self, d: Duration) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_read_timeout(Some(d)),
             Stream::Unix(s) => s.set_read_timeout(Some(d)),
         }
+    }
+
+    fn try_clone(&self) -> std::io::Result<Stream> {
+        Ok(match self {
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+        })
+    }
+
+    /// End the read side: a blocked or later read returns EOF once the
+    /// bytes already received are consumed. Replies can still be written.
+    fn shutdown_read(&self) {
+        let _ = match self {
+            Stream::Tcp(s) => s.shutdown(Shutdown::Read),
+            Stream::Unix(s) => s.shutdown(Shutdown::Read),
+        };
     }
 }
 
@@ -182,8 +217,18 @@ impl Write for Stream {
 
 struct Shared {
     stop: AtomicBool,
-    stop_signal: (Mutex<bool>, Condvar),
-    active_connections: AtomicUsize,
+    /// Set by the first [`Shared::request_stop`]: whether its wake-up
+    /// connect reached the accept loop.
+    accept_woken: OnceLock<bool>,
+    /// The bound address (the real port for `:0` binds); the wake-up
+    /// connect goes here.
+    local_addr: ListenAddr,
+    /// Live connections by id, each with a clone of its stream so that
+    /// stop can cut the handler's read short.
+    conns: Mutex<HashMap<u64, Stream>>,
+    /// Signalled when stop is requested and when the last connection
+    /// leaves `conns`.
+    conns_changed: Condvar,
     stats: Arc<GlobalStats>,
     registry: Registry,
     wire_metrics: WireMetrics,
@@ -248,34 +293,104 @@ impl WireMetrics {
     }
 }
 
-/// [`Read`] adapter that feeds the received byte count into the global
-/// counter and a per-read local cell (the watchdog uses the local count
-/// to tell "idle between frames" from "stalled mid-frame").
-struct CountingReader<'a, R> {
-    inner: &'a mut R,
-    rx_bytes: &'a Counter,
-    local: &'a std::sync::atomic::AtomicU64,
+/// The connection watchdog's clocks for one frame. Until the first byte
+/// of the frame arrives the idle clock runs; from the first byte on, the
+/// request deadline runs, so a sender stalling mid-frame cannot pin the
+/// handler forever.
+struct FrameClock {
+    started: Instant,
+    first_byte: Cell<Option<Instant>>,
 }
 
-impl<R: Read> Read for CountingReader<'_, R> {
+impl FrameClock {
+    /// Time left on the running clock, or why it ran out.
+    fn left(&self, shared: &Shared) -> Result<Duration, ReapReason> {
+        let (since, limit, reason) = match self.first_byte.get() {
+            None => (self.started, shared.idle_timeout, ReapReason::Idle),
+            Some(first) => (first, shared.request_deadline, ReapReason::Deadline),
+        };
+        match limit.saturating_sub(since.elapsed()) {
+            left if left.is_zero() => Err(reason),
+            left => Ok(left),
+        }
+    }
+}
+
+/// [`Read`] adapter for one frame. Each read waits at most the time left
+/// on the [`FrameClock`], and received bytes feed the global counter. The
+/// EOF of a read that stop cut short becomes an interrupt, so the frame
+/// reader asks `keep_waiting` and reports the shutdown, not a truncated
+/// frame or a peer hang-up.
+struct FrameReader<'a> {
+    stream: &'a mut Stream,
+    shared: &'a Shared,
+    clock: &'a FrameClock,
+}
+
+impl Read for FrameReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.rx_bytes.add(n as u64);
-        self.local.fetch_add(n as u64, SeqCst);
+        match self.clock.left(self.shared) {
+            Ok(left) => self.stream.set_read_timeout(left)?,
+            Err(_) => return Err(std::io::ErrorKind::TimedOut.into()),
+        }
+        let n = self.stream.read(buf)?;
+        if n == 0 && self.shared.stopping() {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        if n > 0 && self.clock.first_byte.get().is_none() {
+            self.clock.first_byte.set(Some(Instant::now()));
+        }
+        self.shared.wire_metrics.rx_bytes.add(n as u64);
         Ok(n)
     }
 }
 
 impl Shared {
-    fn request_stop(&self) {
-        self.stop.store(true, SeqCst);
-        let (lock, cv) = &self.stop_signal;
-        *lock.lock() = true;
-        cv.notify_all();
+    /// Stop accepting and cut every handler's read short; idempotent.
+    /// Returns whether the blocking accept was woken. A concurrent second
+    /// caller waits for the first one's answer.
+    fn request_stop(&self) -> bool {
+        *self.accept_woken.get_or_init(|| {
+            self.stop.store(true, SeqCst);
+            for stream in self.conns.lock().values() {
+                stream.shutdown_read();
+            }
+            self.conns_changed.notify_all();
+            wake_accept(&self.local_addr)
+        })
     }
 
     fn stopping(&self) -> bool {
         self.stop.load(SeqCst)
+    }
+
+    /// Drop a finished connection's stream clone; the last one out wakes
+    /// the drain in `shutdown_inner`.
+    fn deregister(&self, id: u64) {
+        let mut conns = self.conns.lock();
+        conns.remove(&id);
+        if conns.is_empty() {
+            self.conns_changed.notify_all();
+        }
+    }
+}
+
+/// Connect to the listener once, so that its blocking `accept` returns
+/// and sees the stop flag. An unspecified bind address (`0.0.0.0`, `[::]`)
+/// is reached over loopback.
+fn wake_accept(addr: &ListenAddr) -> bool {
+    match addr {
+        ListenAddr::Tcp(a) => {
+            let Ok(mut a) = a.parse::<SocketAddr>() else { return false };
+            if a.ip().is_unspecified() {
+                a.set_ip(match a {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            TcpStream::connect_timeout(&a, Duration::from_secs(1)).is_ok()
+        }
+        ListenAddr::Unix(path) => UnixStream::connect(path).is_ok(),
     }
 }
 
@@ -285,7 +400,6 @@ pub struct Server {
     shared: Arc<Shared>,
     pool: Arc<ShardPool>,
     accept_thread: Option<JoinHandle<()>>,
-    local_addr: ListenAddr,
     unix_path: Option<PathBuf>,
     drain_deadline: Duration,
 }
@@ -298,7 +412,6 @@ impl Server {
             ListenAddr::Tcp(a) => {
                 let l = TcpListener::bind(a)?;
                 let local = ListenAddr::Tcp(l.local_addr()?.to_string());
-                l.set_nonblocking(true)?;
                 (Listener::Tcp(l), local, None)
             }
             ListenAddr::Unix(path) => {
@@ -311,7 +424,6 @@ impl Server {
                     }
                 }
                 let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
                 (Listener::Unix(l), ListenAddr::Unix(path.clone()), Some(path.clone()))
             }
         };
@@ -331,8 +443,10 @@ impl Server {
         let sink = Arc::new(TraceSink::new(&registry));
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
-            stop_signal: (Mutex::new(false), Condvar::new()),
-            active_connections: AtomicUsize::new(0),
+            accept_woken: OnceLock::new(),
+            local_addr,
+            conns: Mutex::new(HashMap::new()),
+            conns_changed: Condvar::new(),
             stats: stats.clone(),
             wire_metrics: WireMetrics::new(&registry),
             registry: registry.clone(),
@@ -410,7 +524,6 @@ impl Server {
             shared,
             pool,
             accept_thread: Some(accept_thread),
-            local_addr,
             unix_path,
             drain_deadline: cfg.drain_deadline,
         })
@@ -418,43 +531,50 @@ impl Server {
 
     /// The bound address (with the real port for `:0` binds).
     pub fn local_addr(&self) -> &ListenAddr {
-        &self.local_addr
+        &self.shared.local_addr
     }
 
     /// Block until some connection sends a `Shutdown` frame.
     pub fn wait_for_shutdown(&self) {
-        let (lock, cv) = &self.shared.stop_signal;
-        let mut stopped = lock.lock();
-        while !*stopped {
-            cv.wait(&mut stopped);
+        let mut conns = self.shared.conns.lock();
+        while !self.shared.stopping() {
+            self.shared.conns_changed.wait(&mut conns);
         }
     }
 
     /// Stop accepting, wake every handler, drain the shard queues, and
     /// join all threads.
-    pub fn stop(mut self) {
-        self.shutdown_inner();
+    pub fn stop(self) {
+        drop(self);
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.request_stop();
+        let woken = self.shared.request_stop();
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            // A failed wake-up connect leaves the accept parked. Detach it
+            // rather than hang: whatever it accepts next, it drops unserved
+            // and exits.
+            if woken {
+                let _ = t.join();
+            }
         }
-        // Handlers notice the stop flag at their next read timeout
-        // (≤100 ms); wait for them so no one touches the pool afterwards.
-        let deadline = std::time::Instant::now() + self.drain_deadline;
-        while self.shared.active_connections.load(SeqCst) > 0
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
+        // Stop cut every handler's read short; wait for the last one to
+        // leave, so no one touches the pool afterwards.
+        let deadline = Instant::now() + self.drain_deadline;
+        let mut conns = self.shared.conns.lock();
+        while !conns.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                // The drain deadline fired with handlers (and possibly
+                // their queued jobs) still in flight: record the forced
+                // abort so operators can tell "clean drain" from "gave up
+                // waiting".
+                self.shared.forced_aborts.inc();
+                break;
+            }
+            self.shared.conns_changed.wait_for(&mut conns, left);
         }
-        if self.shared.active_connections.load(SeqCst) > 0 {
-            // The drain deadline fired with handlers (and possibly their
-            // queued jobs) still in flight: record the forced abort so
-            // operators can tell "clean drain" from "gave up waiting".
-            self.shared.forced_aborts.inc();
-        }
+        drop(conns);
         self.pool.shutdown();
         if let Some(path) = self.unix_path.take() {
             let _ = std::fs::remove_file(path);
@@ -469,47 +589,41 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: Listener, shared: &Arc<Shared>, pool: &Arc<ShardPool>) {
-    const POLL: Duration = Duration::from_millis(20);
+    const MIN_BACKOFF: Duration = Duration::from_millis(20);
     const MAX_BACKOFF: Duration = Duration::from_secs(1);
     // Real accept errors (fd exhaustion, aborted handshakes in a storm)
-    // back off exponentially instead of hot-looping at the poll interval;
-    // any successful accept resets the backoff.
-    let mut backoff = POLL;
-    loop {
+    // back off exponentially instead of hot-looping; any successful
+    // accept resets the backoff.
+    let mut backoff = MIN_BACKOFF;
+    for id in 0u64.. {
+        let accepted = listener.accept().and_then(|s| Ok((s.try_clone()?, s)));
+        // After stop, whatever was accepted (the wake-up connect
+        // included) is dropped unserved. Checking under the table's lock
+        // orders registration against `request_stop`'s sweep: a
+        // connection is either registered before the sweep, which cuts
+        // its read short, or sees the flag here.
+        let mut conns = shared.conns.lock();
         if shared.stopping() {
             break;
         }
-        let accepted = match &listener {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nodelay(true); // replies are single writes
-                Stream::Tcp(s)
-            }),
-            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+        let Ok((clone, stream)) = accepted else {
+            drop(conns);
+            shared.accept_errors.inc();
+            std::thread::sleep(backoff);
+            backoff = (backoff * 2).min(MAX_BACKOFF);
+            continue;
         };
-        match accepted {
-            Ok(stream) => {
-                backoff = POLL;
-                let conn_shared = shared.clone();
-                let conn_pool = pool.clone();
-                shared.active_connections.fetch_add(1, SeqCst);
-                let spawned = std::thread::Builder::new()
-                    .name("arbalest-conn".into())
-                    .spawn(move || {
-                        handle_connection(stream, &conn_shared, &conn_pool);
-                        conn_shared.active_connections.fetch_sub(1, SeqCst);
-                    });
-                if spawned.is_err() {
-                    shared.active_connections.fetch_sub(1, SeqCst);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => {
-                shared.accept_errors.inc();
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(MAX_BACKOFF);
-            }
+        backoff = MIN_BACKOFF;
+        conns.insert(id, clone);
+        drop(conns);
+        let conn_shared = shared.clone();
+        let conn_pool = pool.clone();
+        let spawned = std::thread::Builder::new().name("arbalest-conn".into()).spawn(move || {
+            handle_connection(stream, &conn_shared, &conn_pool);
+            conn_shared.deregister(id);
+        });
+        if spawned.is_err() {
+            shared.deregister(id);
         }
     }
 }
@@ -545,50 +659,33 @@ fn resume_session(
 }
 
 fn handle_connection(mut stream: Stream, shared: &Arc<Shared>, pool: &Arc<ShardPool>) {
-    let _ = stream.set_read_timeout(Duration::from_millis(100));
     let mut session: Option<u64> = None;
     let mut session_events: u64 = 0;
     // WAL append handle for the connection's session (durable mode only).
     let mut log: Option<SessionLog> = None;
 
     loop {
-        // The watchdog rides the 100 ms read-timeout polls: while no byte
-        // of the next frame has arrived the idle clock runs; from the
-        // first byte on, the request deadline runs (a sender stalling
-        // mid-frame cannot pin the handler forever).
-        let reaped = std::cell::Cell::new(None::<ReapReason>);
+        // Each read waits at most the time left on the frame's idle or
+        // request-deadline clock. `keep_waiting` runs when a read times
+        // out or stop cut it short: it ends the frame read on stop, or
+        // reaps the connection once its running clock is spent.
+        let reaped = Cell::new(None::<ReapReason>);
         let frame = {
-            let stop_shared = shared.clone();
-            let local = std::sync::atomic::AtomicU64::new(0);
-            let started = std::time::Instant::now();
-            let mut first_byte_at: Option<std::time::Instant> = None;
-            let mut counted = CountingReader {
-                inner: &mut stream,
-                rx_bytes: &shared.wire_metrics.rx_bytes,
-                local: &local,
-            };
-            let reaped = &reaped;
-            let local = &local;
-            let mut keep_waiting = move || {
-                if stop_shared.stopping() {
+            let clock = FrameClock { started: Instant::now(), first_byte: Cell::new(None) };
+            let mut reader = FrameReader { stream: &mut stream, shared, clock: &clock };
+            let mut keep_waiting = || {
+                if shared.stopping() {
                     return false;
                 }
-                let now = std::time::Instant::now();
-                if local.load(SeqCst) == 0 {
-                    if now.duration_since(started) > stop_shared.idle_timeout {
-                        reaped.set(Some(ReapReason::Idle));
-                        return false;
-                    }
-                } else {
-                    let first = *first_byte_at.get_or_insert(now);
-                    if now.duration_since(first) > stop_shared.request_deadline {
-                        reaped.set(Some(ReapReason::Deadline));
-                        return false;
+                match clock.left(shared) {
+                    Ok(_) => true,
+                    Err(reason) => {
+                        reaped.set(Some(reason));
+                        false
                     }
                 }
-                true
             };
-            Frame::read_from_limited(&mut counted, &mut keep_waiting, shared.max_frame)
+            Frame::read_from_limited(&mut reader, &mut keep_waiting, shared.max_frame)
         };
         let frame = match frame {
             Ok(f) => f,

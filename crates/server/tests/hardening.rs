@@ -3,18 +3,24 @@
 //! forever, or stalls mid-frame must always produce a typed error (or a
 //! clean reap) — never a hang, a crash, or a partially-mutated session —
 //! and the server must keep serving afterwards. Shard panics and budget
-//! breaches must surface as typed `SessionFailed` replies.
+//! breaches must surface as typed `SessionFailed` replies. A fresh
+//! connection is answered without waiting on an accept poll, and a stop
+//! wakes every handler at once without counting any of them as a decode
+//! error, a reap or a forced abort.
 
+use arbalest_obs::Registry;
 use arbalest_offload::fault::FaultConfig;
 use arbalest_offload::prelude::*;
 use arbalest_offload::trace::{TraceEvent, TraceRecorder};
 use arbalest_server::{
     Client, Frame, ListenAddr, ProtoError, Server, ServerConfig, SessionFailure, WIRE_VERSION,
 };
-use std::io::Write as _;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Suppress the default panic hook's backtrace spam for panics this test
 /// binary injects on purpose; real panics still print.
@@ -231,4 +237,150 @@ fn wire_version_mismatch_still_fails_fast() {
     let reply = Frame::read_from(&mut raw, &mut || true).expect("reply");
     assert!(matches!(reply, Frame::Error { .. }), "{reply:?}");
     server.stop();
+}
+
+fn unix_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("arbalest-hardening-{}-{tag}.sock", std::process::id()))
+}
+
+/// Where a client reaches `server`: a wildcard bind is reached over
+/// loopback.
+fn client_addr(server: &Server) -> ListenAddr {
+    match server.local_addr() {
+        ListenAddr::Tcp(a) => {
+            let mut a: SocketAddr = a.parse().expect("bound socket address");
+            if a.ip().is_unspecified() {
+                a.set_ip([127, 0, 0, 1].into());
+            }
+            ListenAddr::Tcp(a.to_string())
+        }
+        unix => unix.clone(),
+    }
+}
+
+trait RawStream: Read + Write {}
+impl<T: Read + Write> RawStream for T {}
+
+/// A raw connection whose reads give up after 5 s instead of hanging.
+fn raw_connect(addr: &ListenAddr) -> Box<dyn RawStream> {
+    let timeout = Some(Duration::from_secs(5));
+    match addr {
+        ListenAddr::Tcp(a) => {
+            let s = TcpStream::connect(a).expect("connect");
+            s.set_read_timeout(timeout).expect("read timeout");
+            Box::new(s)
+        }
+        ListenAddr::Unix(p) => {
+            let s = UnixStream::connect(p).expect("connect");
+            s.set_read_timeout(timeout).expect("read timeout");
+            Box::new(s)
+        }
+    }
+}
+
+/// With a blocking accept, a fresh connection waits on nothing between
+/// its connect and its answer. An accept loop that polls pays its poll
+/// interval on every connection.
+fn fresh_connections_are_answered_at_once(bind: ListenAddr) {
+    let server =
+        Server::start(&bind, ServerConfig { shards: 1, ..ServerConfig::default() }).expect("bind");
+    let t0 = Instant::now();
+    for _ in 0..100 {
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        client.stats().expect("stats");
+    }
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "100 connect + stats round trips took {took:?}");
+    server.stop();
+}
+
+#[test]
+fn fresh_tcp_connection_is_answered_without_an_accept_poll() {
+    fresh_connections_are_answered_at_once(ListenAddr::Tcp("127.0.0.1:0".into()));
+}
+
+#[test]
+fn fresh_unix_connection_is_answered_without_an_accept_poll() {
+    fresh_connections_are_answered_at_once(ListenAddr::Unix(unix_path("fresh")));
+}
+
+/// Stop must wake an idle handler and one blocked mid-length-prefix at
+/// once, with both clocks far away. A read that stop cut short is the
+/// shutdown: not a truncated frame, not a reap, not a forced abort.
+fn stop_wakes_every_handler(bind: ListenAddr) {
+    let reg = Registry::new();
+    let server = Server::start(
+        &bind,
+        ServerConfig {
+            shards: 1,
+            idle_timeout: Duration::from_secs(60),
+            request_deadline: Duration::from_secs(60),
+            metrics: reg.clone(),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = client_addr(&server);
+    let mut idle = raw_connect(&addr);
+    let mut half = raw_connect(&addr);
+    half.write_all(&8u32.to_le_bytes()[..2]).expect("half a length prefix");
+    // Connections are accepted in order, so once a later one is answered
+    // both raw ones have handlers.
+    let mut probe = Client::connect(&addr).expect("connect probe");
+    probe.stats().expect("stats");
+
+    let t0 = Instant::now();
+    server.stop();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(2), "stop took {took:?}");
+
+    let prom = reg.snapshot().to_prometheus();
+    for name in [
+        "arbalest_server_decode_errors_total",
+        "arbalest_server_connections_reaped_total",
+        "arbalest_server_forced_aborts_total",
+    ] {
+        assert_eq!(prom_sum(&prom, name), 0, "{name} after a stop:\n{prom}");
+    }
+    let mut byte = [0u8; 1];
+    assert_eq!(idle.read(&mut byte).expect("idle client reads EOF"), 0);
+    assert_eq!(half.read(&mut byte).expect("half-frame client reads EOF"), 0);
+}
+
+#[test]
+fn stop_wakes_every_handler_on_loopback() {
+    stop_wakes_every_handler(ListenAddr::Tcp("127.0.0.1:0".into()));
+}
+
+#[test]
+fn stop_wakes_every_handler_on_a_wildcard_bind() {
+    stop_wakes_every_handler(ListenAddr::Tcp("0.0.0.0:0".into()));
+}
+
+#[test]
+fn stop_wakes_every_handler_on_a_unix_socket() {
+    stop_wakes_every_handler(ListenAddr::Unix(unix_path("stop")));
+}
+
+#[test]
+fn stop_never_hangs_when_the_wake_up_connect_fails() {
+    let path = unix_path("unreachable");
+    let server = Server::start(
+        &ListenAddr::Unix(path.clone()),
+        ServerConfig { shards: 1, ..ServerConfig::default() },
+    )
+    .expect("bind");
+    let mut idle = raw_connect(server.local_addr());
+    let mut probe = Client::connect(server.local_addr()).expect("connect probe");
+    probe.stats().expect("stats");
+    // With its socket file gone, nothing can reach the listener again, so
+    // stop's wake-up connect fails.
+    std::fs::remove_file(&path).expect("remove socket file");
+
+    let t0 = Instant::now();
+    server.stop();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(2), "stop took {took:?}");
+    let mut byte = [0u8; 1];
+    assert_eq!(idle.read(&mut byte).expect("idle client reads EOF"), 0);
 }
