@@ -69,12 +69,18 @@ if [[ "${RUN_SOAK:-1}" == "1" ]]; then
 
     step "race-engine reference sweep (3000 seeds + >4096-task programs, 60s budget)"
     # Compile outside the wall-clock budget; only the sweep itself is bounded.
+    # --nocapture shows the mixed-size misses, the kernel programs' repeat
+    # share and the verdict goldens.
     cargo test -q --release --test oracle_race --no-run
-    timeout 60 cargo test -q --release --test oracle_race -- --ignored
+    timeout 60 cargo test -q --release --test oracle_race -- --ignored --nocapture
 
     step "page-table stress (racing first touches against readers, 60s budget)"
     cargo test -q --release -p arbalest-sync --no-run
     timeout 60 cargo test -q --release -p arbalest-sync -- --ignored
+
+    step "race-engine concurrency stress (repeat slots and cached cells on two threads, 60s budget)"
+    cargo test -q --release -p arbalest-race --no-run
+    timeout 60 cargo test -q --release -p arbalest-race -- --ignored
 
     step "network-chaos soak (all DRACC cases, fixed seeds, 60s budget)"
     # Compile outside the wall-clock budget; only the soak itself is bounded.

@@ -1650,10 +1650,9 @@ fn cmd_stats(opts: &Options) -> ExitCode {
             );
             println!("events received: {}   busy rejections: {}", s.events_received, s.busy_rejections);
             println!("queue depths: {:?}", s.queue_depths);
-            let kinds = ["UUM", "USD", "MappingBO", "DataRace", "Uninit", "HeapBO", "UseAfterFree"];
-            for (name, n) in kinds.iter().zip(s.reports_by_kind) {
+            for (kind, n) in ReportKind::ALL.iter().zip(s.reports_by_kind) {
                 if n > 0 {
-                    println!("reports[{name}]: {n}");
+                    println!("reports[{}]: {n}", kind.label());
                 }
             }
             ExitCode::SUCCESS

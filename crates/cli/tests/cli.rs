@@ -420,3 +420,58 @@ fn profile_json_is_machine_readable() {
     assert!(doc.get("metrics").is_some(), "metrics document embedded");
     assert!(doc.get("spans").and_then(Json::as_arr).is_some(), "span list embedded");
 }
+
+/// A served instance on a unix socket, stopped (or killed) when dropped.
+struct Served {
+    child: std::process::Child,
+    addr: String,
+    sock: std::path::PathBuf,
+}
+
+impl Served {
+    fn start(name: &str) -> Served {
+        let sock = std::env::temp_dir()
+            .join(format!("arbalest-cli-{name}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&sock);
+        let addr = format!("unix:{}", sock.display());
+        let child = Command::new(env!("CARGO_BIN_EXE_arbalest"))
+            .args(["serve", "--listen", &addr, "--shards", "1"])
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .expect("server starts");
+        for _ in 0..200 {
+            if sock.exists() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(25));
+        }
+        Served { child, addr, sock }
+    }
+}
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let (stopped, _, _) = run(&["stop", "--connect", &self.addr]);
+        if !stopped {
+            let _ = self.child.kill();
+        }
+        let _ = self.child.wait();
+        let _ = std::fs::remove_file(&self.sock);
+    }
+}
+
+#[test]
+fn stats_name_report_kinds_by_their_labels() {
+    // DRACC 22 reads a never-initialised device copy: one UUM report,
+    // counted under the label the Prometheus export uses too.
+    let served = Served::start("stats");
+    let (ok, _, stderr) = run(&["submit", "22", "--connect", &served.addr, "--quiet"]);
+    assert!(ok, "{stderr}");
+    let (ok, stdout, stderr) = run(&["stats", "--connect", &served.addr]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("reports[mapping-issue(UUM)]: 1\n"), "{stdout}");
+    assert_eq!(stdout.matches("reports[").count(), 1, "{stdout}");
+    let (ok, prom, stderr) = run(&["stats", "--format", "prom", "--connect", &served.addr]);
+    assert!(ok, "{stderr}");
+    assert!(prom.contains("arbalest_server_reports_total{kind=\"mapping-issue(UUM)\"} 1"), "{prom}");
+}

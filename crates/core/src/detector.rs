@@ -42,7 +42,7 @@ struct CvInfo {
 }
 
 /// Entries of the per-thread CV lookup cache.
-const CV_CACHE_ENTRIES: usize = 4;
+const CV_CACHE_ENTRIES: usize = 16;
 
 /// A CV interval one thread resolved, valid while its detector's
 /// generation is the one it was resolved under.

@@ -122,6 +122,33 @@ fn stats_expose_cache_amortisation() {
 }
 
 #[test]
+fn the_lookup_cache_holds_a_kernels_working_set() {
+    // A `parallel for` that cycles through more CVs than a thread's cache
+    // holds walks the interval tree on every access. Each team thread is
+    // fresh, so it may miss once per buffer and no more.
+    const TEAM: usize = 4;
+    let tool = Arc::new(Arbalest::default());
+    let rt = Runtime::with_tool(Config::default().team_size(TEAM), tool.clone());
+    let bufs: Vec<Buffer<f64>> =
+        (0..10).map(|b| rt.alloc_with::<f64>(&format!("in{b}"), 256, |i| i as f64)).collect();
+    for width in [5, 10] {
+        let before = tool.stats().cache_misses.get();
+        let ins = bufs[..width].to_vec();
+        let region = ins.iter().fold(rt.target(), |r, b| r.map(Map::to(b)));
+        region.run(move |k| {
+            k.par_for(0..256, |k, i| {
+                for b in &ins {
+                    let _ = k.read(b, i);
+                }
+            });
+        });
+        let misses = tool.stats().cache_misses.get() - before;
+        assert!(misses <= (TEAM * width) as u64, "{width} buffers: {misses} misses");
+    }
+    assert!(tool.reports().is_empty(), "{:?}", tool.reports());
+}
+
+#[test]
 fn cache_disabled_still_correct_just_not_amortised() {
     let tool = Arc::new(Arbalest::new(ArbalestConfig { lookup_cache: false, ..Default::default() }));
     let rt = Runtime::with_tool(Config::default(), tool.clone());

@@ -7,17 +7,22 @@
 //! location read concurrently pay for the number of its readers.
 //!
 //! A task's happens-before state lives in its own cell: its slot, its own
-//! scalar clock and what it has observed of other slots. Only the task's
-//! own sync events (fork as parent, join as waiter, acquire, release, end)
-//! change the cell. A check read-locks the one task-table shard holding
-//! the cell, reads the epoch and clock in place and hands back the epoch
-//! the detector stamps; a range check does this once per transfer. No
-//! engine-wide lock and no clock copy sits on the access path.
+//! scalar clock and what it has observed of other slots. Only sync events
+//! (fork, join, acquire, release, end) change a cell; each takes the task
+//! table's lock and then bumps the engine's sync generation. A check reads
+//! the cell from a small per-thread cache keyed by engine id, generation
+//! and task id, and copies it out of the table only when the generation
+//! moved; a range check does this once per transfer. So while no sync
+//! event intervenes, an access takes no table lock and hashes no task id.
 //!
-//! Location history lives in a [`PageTable`] of 4 KiB pages, one mutex
-//! and one state per granule each: a check finds its page with a few plain
-//! loads and locks only that page, and a range check locks each page it
-//! covers once.
+//! Location history lives in a [`PageTable`] with one page per 4 KiB of
+//! memory: one mutex over its granules' states and, beside them, two
+//! lock-free repeat slots per granule. A slot holds an access, packed into
+//! one word, whose repetition is a race-free no-op on the granule's state.
+//! A check finds its page with a few plain loads; when its own word is in
+//! a slot it returns at once, with no lock and no store, and otherwise it
+//! locks the page, checks the granule and rewrites the slots. A range
+//! check locks each page it covers once.
 //!
 //! Slots are `u16`. A task's slot goes back to a pool once the task has
 //! ended and been joined, together with its final clock. A fork reuses a
@@ -35,8 +40,12 @@
 
 use crate::clock::{Epoch, VectorClock, MAX_TIDS};
 use arbalest_sync::{Mutex, PageTable, RwLock};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicU64,
+    Ordering::{Acquire, Relaxed, Release},
+};
 
 /// Byte range of an access within its granule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +68,47 @@ impl ByteRange {
     fn mask(self) -> u8 {
         let ones = (1u32 << self.size.min(8)) - 1;
         (ones << self.offset.min(8)) as u8
+    }
+}
+
+/// An access packed into one repeat-slot word: clock (39 bits), thread
+/// slot (16), byte mask (8) and kind (1, set for a write). Accesses that
+/// get no slot pack to 0, the empty slot: unknown tasks (clock 0), clocks
+/// that do not fit, and empty ranges or ranges that leave the granule,
+/// whose masks do not name their bytes.
+#[inline]
+fn repeat_word(e: Epoch, range: ByteRange, is_write: bool) -> u64 {
+    let bytes = u16::from(range.offset) + u16::from(range.size);
+    if e.clock == 0 || e.clock >> 39 != 0 || range.size == 0 || bytes > 8 {
+        return 0;
+    }
+    e.clock << 25 | u64::from(e.tid) << 9 | u64::from(range.mask()) << 1 | u64::from(is_write)
+}
+
+/// Rewrite a granule's repeat slots, under its page's lock, after `me`'s
+/// access packed as `word` left the granule's state at `loc`; `raced` is
+/// its verdict. A race-free access records itself; a racy one records
+/// nothing, so its repeat reports again. The other slot survives only a
+/// read that leaves the state shared, and only if it holds another
+/// thread's read: that reader's entry and the write it was checked
+/// against are untouched. A slot that would not change is not stored.
+fn note_repeat(
+    slots: &[AtomicU64; 2],
+    loc: &LocState,
+    me: Epoch,
+    word: u64,
+    is_write: bool,
+    raced: bool,
+) {
+    let shared = !is_write && matches!(loc.read, ReadState::Shared(_));
+    let old = [slots[0].load(Relaxed), slots[1].load(Relaxed)];
+    let other_read = |w: u64| w != 0 && w & 1 == 0 && (w >> 9) as u16 != me.tid;
+    let kept = old.into_iter().find(|&w| shared && other_read(w)).unwrap_or(0);
+    let new = if raced || word == 0 { [kept, 0] } else { [word, kept] };
+    for (slot, (o, n)) in slots.iter().zip(old.into_iter().zip(new)) {
+        if o != n {
+            slot.store(n, Relaxed);
+        }
     }
 }
 
@@ -147,8 +197,8 @@ impl ReadState {
     }
 }
 
-/// One granule's FastTrack state, laid out flat: 32 bytes, so a history
-/// page of 512 granules is 16 KiB.
+/// One granule's FastTrack state, laid out flat: 32 bytes, so the states
+/// of a history page's 512 granules take 16 KiB.
 #[derive(Debug, Clone)]
 struct LocState {
     write_clock: u64,
@@ -183,46 +233,69 @@ const PAGE_SHIFT: u32 = 12;
 /// Granules per history page.
 const PAGE_GRANULES: usize = 1 << (PAGE_SHIFT - 3);
 
-/// The FastTrack states of one 4 KiB page's granules, behind one lock.
-type HistoryPage = Box<Mutex<[LocState; PAGE_GRANULES]>>;
+/// The history of one 4 KiB page: its granules' FastTrack states behind
+/// one lock, and beside them each granule's repeat slots, read without it
+/// (16 + 8 KiB).
+///
+/// A nonzero slot holds the [`repeat_word`] of an access that would be a
+/// race-free no-op on its granule's current state, for any task at that
+/// epoch: while a task keeps its epoch its clock only grows, so neither
+/// the verdict nor the update can change. Slots are written only under
+/// the lock, and every state change rewrites them (`note_repeat`).
+struct HistoryPage {
+    repeats: [[AtomicU64; 2]; PAGE_GRANULES],
+    locs: Mutex<[LocState; PAGE_GRANULES]>,
+}
 
-fn new_history_page() -> HistoryPage {
-    Box::new(Mutex::new([const { LocState::NEW }; PAGE_GRANULES]))
+fn new_history_page() -> Box<HistoryPage> {
+    Box::new(HistoryPage {
+        repeats: [const { [const { AtomicU64::new(0) }; 2] }; PAGE_GRANULES],
+        locs: Mutex::new([const { LocState::NEW }; PAGE_GRANULES]),
+    })
+}
+
+/// Index of `addr`'s granule within its history page.
+#[inline]
+fn granule_index(addr: u64) -> usize {
+    (addr >> 3) as usize % PAGE_GRANULES
 }
 
 /// Per-location access history: the pages, plus the heap bytes of shared
 /// read states, which the pages do not hold inline.
 #[derive(Default)]
 struct History {
-    pages: PageTable<HistoryPage>,
+    pages: PageTable<Box<HistoryPage>>,
     shared_bytes: AtomicU64,
 }
 
 impl History {
-    /// Run `f` on the states of the granules `[lo, hi)` of one page, in
-    /// ascending order, under the page's lock once.
+    /// The page holding `addr`'s granule, made on first touch.
     #[inline]
-    fn with_granules(&self, lo: u64, hi: u64, mut f: impl FnMut(&mut LocState)) {
-        let page = self.pages.get_or_init(lo >> PAGE_SHIFT, new_history_page);
-        let mut locs = page.lock();
-        for g in (lo..hi).step_by(8) {
-            let loc = &mut locs[(g >> 3) as usize % PAGE_GRANULES];
-            let before = loc.read.heap_bytes();
-            f(loc);
-            let after = loc.read.heap_bytes();
-            if after != before {
-                self.shared_bytes.fetch_add(after.wrapping_sub(before), Relaxed);
-            }
+    fn page(&self, addr: u64) -> &HistoryPage {
+        self.pages.get_or_init(addr >> PAGE_SHIFT, new_history_page)
+    }
+
+    /// Run `f` on one granule's state, under its page's lock, counting
+    /// any change in the heap bytes of its shared read state.
+    #[inline]
+    fn update<R>(&self, loc: &mut LocState, f: impl FnOnce(&mut LocState) -> R) -> R {
+        let before = loc.read.heap_bytes();
+        let r = f(loc);
+        let after = loc.read.heap_bytes();
+        if after != before {
+            self.shared_bytes.fetch_add(after.wrapping_sub(before), Relaxed);
         }
+        r
     }
 
     fn bytes(&self) -> u64 {
-        let page = std::mem::size_of::<Mutex<[LocState; PAGE_GRANULES]>>() as u64;
+        let page = std::mem::size_of::<HistoryPage>() as u64;
         self.pages.len() as u64 * page + self.pages.node_bytes() + self.shared_bytes.load(Relaxed)
     }
 }
 
 /// One task's happens-before state.
+#[derive(Clone)]
 struct TaskCell {
     tid: u16,
     /// The task's own scalar clock: its epoch is `tid@own`.
@@ -295,8 +368,68 @@ impl SlotPool {
     }
 }
 
-/// Task tables, split by task id: each behind its own lock.
-const TASK_TABLES: usize = 16;
+/// Entries of the per-thread task-cell cache.
+const TASK_CACHE_ENTRIES: usize = 4;
+
+/// A task's cell one thread copied out of an engine's table, valid while
+/// the engine's sync generation is the one it was copied under.
+struct CachedCell {
+    engine: u64,
+    generation: u64,
+    task: u32,
+    cell: TaskCell,
+}
+
+/// The calling thread's recently used task cells, for every engine it
+/// feeds, replaced round-robin.
+struct TaskCache {
+    entries: [CachedCell; TASK_CACHE_ENTRIES],
+    next: usize,
+}
+
+impl TaskCache {
+    /// The entry of `task` copied under `generation`, copying it from
+    /// `tasks` on a miss.
+    #[inline]
+    fn get(
+        &mut self,
+        engine: u64,
+        generation: u64,
+        task: u32,
+        tasks: &RwLock<HashMap<u32, TaskCell>>,
+    ) -> &TaskCell {
+        let hit = self
+            .entries
+            .iter()
+            .position(|e| e.engine == engine && e.generation == generation && e.task == task);
+        let i = hit.unwrap_or_else(|| {
+            let i = self.next;
+            self.next = (i + 1) % TASK_CACHE_ENTRIES;
+            let e = &mut self.entries[i];
+            (e.engine, e.generation, e.task) = (engine, generation, task);
+            // `clone_from` keeps the entry's clock allocation.
+            e.cell.clone_from(tasks.read().get(&task).unwrap_or(&TaskCell::UNKNOWN));
+            i
+        });
+        &self.entries[i].cell
+    }
+}
+
+thread_local! {
+    static TASK_CACHE: RefCell<TaskCache> = const {
+        RefCell::new(TaskCache {
+            // Engine 0 matches no engine: ids start at 1.
+            entries: [const {
+                CachedCell { engine: 0, generation: 0, task: 0, cell: TaskCell::UNKNOWN }
+            }; TASK_CACHE_ENTRIES],
+            next: 0,
+        })
+    };
+}
+
+/// Source of engine ids; never reused, so a cached cell can never be taken
+/// for another engine's.
+static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// One task's clock state in a [`RaceSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -372,8 +505,11 @@ pub struct RaceSnapshot {
 
 /// A happens-before race detection engine.
 pub struct RaceEngine {
-    /// Task cells, sharded by task id.
-    tasks: Vec<RwLock<HashMap<u32, TaskCell>>>,
+    /// Process-unique, for the per-thread task-cell cache.
+    id: u64,
+    /// Bumped after every sync event's change to a task cell.
+    generation: AtomicU64,
+    tasks: RwLock<HashMap<u32, TaskCell>>,
     slots: Mutex<SlotPool>,
     history: History,
     /// Release clocks of lock objects (`omp critical` support).
@@ -386,45 +522,48 @@ impl Default for RaceEngine {
     }
 }
 
+/// Mutate a running task's cell; ended and unknown tasks are left as they
+/// are.
+fn update_running(tasks: &mut HashMap<u32, TaskCell>, task: u32, f: impl FnOnce(&mut TaskCell)) {
+    if let Some(t) = tasks.get_mut(&task).filter(|t| !t.ended) {
+        f(t);
+    }
+}
+
 impl RaceEngine {
     /// Create an engine with task 0 (the host) already registered.
     pub fn new() -> Self {
         // The host holds slot 0.
         let engine = Self::empty(SlotPool { free: Vec::new(), fresh: 1 });
-        engine.task_shard(0).write().insert(0, TaskCell::running(0, 1, VectorClock::new()));
+        engine.tasks.write().insert(0, TaskCell::running(0, 1, VectorClock::new()));
         engine
     }
 
     fn empty(slots: SlotPool) -> Self {
         RaceEngine {
-            tasks: (0..TASK_TABLES).map(|_| RwLock::new(HashMap::new())).collect(),
+            id: NEXT_ENGINE_ID.fetch_add(1, Relaxed),
+            generation: AtomicU64::new(0),
+            tasks: RwLock::new(HashMap::new()),
             slots: Mutex::new(slots),
             history: History::default(),
             locks: Mutex::new(HashMap::new()),
         }
     }
 
-    #[inline]
-    fn task_shard(&self, task: u32) -> &RwLock<HashMap<u32, TaskCell>> {
-        &self.tasks[task as usize % TASK_TABLES]
-    }
-
-    /// Run `f` on the task's cell (an empty one for unknown tasks) under
-    /// its shard's read lock.
+    /// Run `f` on the task's cell (an empty one for unknown tasks), read
+    /// through the calling thread's cache.
     #[inline]
     fn with_task<R>(&self, task: u32, f: impl FnOnce(&TaskCell) -> R) -> R {
-        let shard = self.task_shard(task).read();
-        f(shard.get(&task).unwrap_or(&TaskCell::UNKNOWN))
+        // Read the generation before the table: a cell copied under it
+        // cannot outlive a sync event, which bumps it after the change.
+        let generation = self.generation.load(Acquire);
+        TASK_CACHE.with(|c| f(c.borrow_mut().get(self.id, generation, task, &self.tasks)))
     }
 
-    /// Mutate a running task's cell; ended and unknown tasks are left as
-    /// they are.
-    fn update_running(&self, task: u32, f: impl FnOnce(&mut TaskCell)) {
-        if let Some(t) = self.task_shard(task).write().get_mut(&task) {
-            if !t.ended {
-                f(t);
-            }
-        }
+    /// Publish a sync event's change to a task cell to every thread's
+    /// cache.
+    fn synced(&self) {
+        self.generation.fetch_add(1, Release);
     }
 
     /// The (tid, clock) epoch a task would stamp on its next access —
@@ -436,27 +575,28 @@ impl RaceEngine {
     /// Fork: `child` begins, ordered after everything `parent` did so far.
     /// A fork of an already-registered child is ignored.
     pub fn fork(&self, parent: u32, child: u32) {
-        let vc = self.with_task(parent, TaskCell::full);
-        {
-            let mut shard = self.task_shard(child).write();
-            if shard.contains_key(&child) {
-                return;
-            }
-            if let Some(tid) = self.slots.lock().take(&vc) {
-                let own = vc.get(tid) + 1;
-                shard.insert(child, TaskCell::running(tid, own, vc));
-            }
+        let mut tasks = self.tasks.write();
+        if tasks.contains_key(&child) {
+            return;
+        }
+        let vc = tasks.get(&parent).map_or_else(VectorClock::new, TaskCell::full);
+        if let Some(tid) = self.slots.lock().take(&vc) {
+            let own = vc.get(tid) + 1;
+            tasks.insert(child, TaskCell::running(tid, own, vc));
         }
         // Parent ticks so its post-fork work is not ordered before the
         // child's view of it.
-        self.update_running(parent, |p| p.own += 1);
+        update_running(&mut tasks, parent, |p| p.own += 1);
+        drop(tasks);
+        self.synced();
     }
 
     /// Task end: freeze the task's final clock.
     pub fn end(&self, task: u32) {
-        if let Some(t) = self.task_shard(task).write().get_mut(&task) {
+        if let Some(t) = self.tasks.write().get_mut(&task) {
             t.ended = true;
         }
+        self.synced();
     }
 
     /// Lock acquire: the task continues ordered after the lock's last
@@ -464,41 +604,40 @@ impl RaceEngine {
     pub fn acquire(&self, task: u32, lock: u64) {
         let lock_vc = self.locks.lock().get(&lock).cloned();
         if let Some(vc) = lock_vc {
-            self.update_running(task, |t| t.vc.join(&vc));
+            update_running(&mut self.tasks.write(), task, |t| t.vc.join(&vc));
+            self.synced();
         }
     }
 
     /// Lock release: publish the task's clock into the lock and tick.
     pub fn release(&self, task: u32, lock: u64) {
         let mut published = None;
-        self.update_running(task, |t| {
+        update_running(&mut self.tasks.write(), task, |t| {
             published = Some(t.full());
             t.own += 1;
         });
         if let Some(vc) = published {
             self.locks.lock().insert(lock, vc);
+            self.synced();
         }
     }
 
     /// Join: `waiter` continues, ordered after all of `joined`. The first
     /// join after `joined` ended returns its slot to the pool.
     pub fn join(&self, waiter: u32, joined: u32) {
-        let (vc, freed) = {
-            let mut shard = self.task_shard(joined).write();
-            let Some(j) = shard.get_mut(&joined) else { return };
-            let freed = (j.ended && !j.released).then(|| {
-                j.released = true;
-                (j.tid, j.own)
-            });
-            (j.full(), freed)
-        };
-        if let Some(slot) = freed {
-            self.slots.lock().free.push(slot);
+        let mut tasks = self.tasks.write();
+        let Some(j) = tasks.get_mut(&joined) else { return };
+        if j.ended && !j.released {
+            j.released = true;
+            self.slots.lock().free.push((j.tid, j.own));
         }
-        self.update_running(waiter, |w| {
+        let vc = j.full();
+        update_running(&mut tasks, waiter, |w| {
             w.vc.join(&vc);
             w.own += 1;
         });
+        drop(tasks);
+        self.synced();
     }
 
     /// FastTrack check of one granule access by `cell`; records it.
@@ -548,15 +687,39 @@ impl RaceEngine {
         race
     }
 
+    /// The FastTrack check of one granule, under its page's lock, and the
+    /// rewrite of the granule's repeat slots; `word` packs the access.
+    #[inline]
+    fn check_locked(
+        &self,
+        loc: &mut LocState,
+        slots: &[AtomicU64; 2],
+        cell: &TaskCell,
+        range: ByteRange,
+        is_write: bool,
+        word: u64,
+    ) -> Option<RaceInfo> {
+        let race = self.history.update(loc, |loc| Self::check_granule(cell, loc, range, is_write));
+        note_repeat(slots, loc, cell.epoch(), word, is_write, race.is_some());
+        race
+    }
+
     fn check(&self, task: u32, addr: u64, size: u8, is_write: bool) -> Checked {
         let range = ByteRange { offset: (addr & 7) as u8, size };
         let granule = addr & !7;
         self.with_task(task, |cell| {
-            let mut race = None;
-            self.history.with_granules(granule, granule.saturating_add(8), |loc| {
-                race = Self::check_granule(cell, loc, range, is_write);
-            });
-            Checked { epoch: cell.epoch(), race }
+            let epoch = cell.epoch();
+            let word = repeat_word(epoch, range, is_write);
+            let page = self.history.page(granule);
+            let i = granule_index(granule);
+            // A repeat of a recorded access: no lock and no store.
+            if word != 0 && page.repeats[i].iter().any(|s| s.load(Relaxed) == word) {
+                return Checked { epoch, race: None };
+            }
+            let mut locs = page.locs.lock();
+            let race =
+                self.check_locked(&mut locs[i], &page.repeats[i], cell, range, is_write, word);
+            Checked { epoch, race }
         })
     }
 
@@ -575,17 +738,21 @@ impl RaceEngine {
     fn check_range(&self, task: u32, addr: u64, len: u64, is_write: bool) -> Option<RaceInfo> {
         let end = addr.saturating_add(len);
         self.with_task(task, |cell| {
+            let range = ByteRange::WORD;
+            let word = repeat_word(cell.epoch(), range, is_write);
             let mut first = None;
             let mut lo = addr & !7;
             while lo < end {
-                // The granules of `lo`'s page that the range covers.
+                // The granules of `lo`'s page that the range covers, under
+                // the page's lock once.
                 let page_end = (lo | ((1 << PAGE_SHIFT) - 1)).saturating_add(1);
-                let hi = end.min(page_end);
-                self.history.with_granules(lo, hi, |loc| {
-                    if let Some(r) = Self::check_granule(cell, loc, ByteRange::WORD, is_write) {
-                        first.get_or_insert(r);
-                    }
-                });
+                let page = self.history.page(lo);
+                let mut locs = page.locs.lock();
+                for g in (lo..end.min(page_end)).step_by(8) {
+                    let i = granule_index(g);
+                    let (loc, slots) = (&mut locs[i], &page.repeats[i]);
+                    first = first.or(self.check_locked(loc, slots, cell, range, is_write, word));
+                }
                 lo = page_end;
             }
             first
@@ -621,21 +788,23 @@ impl RaceEngine {
     /// snapshots. Every map is emitted sorted by key so two dumps of
     /// identical state are identical, independent of hash iteration order.
     pub fn to_snapshot(&self) -> RaceSnapshot {
-        let mut tasks: Vec<TaskSnapshot> = Vec::new();
-        for s in &self.tasks {
-            tasks.extend(s.read().iter().map(|(&task, t)| TaskSnapshot {
+        let mut tasks: Vec<TaskSnapshot> = self
+            .tasks
+            .read()
+            .iter()
+            .map(|(&task, t)| TaskSnapshot {
                 task,
                 tid: t.tid,
                 own: t.own,
                 clock: t.vc.slot_values().to_vec(),
                 ended: t.ended,
                 released: t.released,
-            }));
-        }
+            })
+            .collect();
         tasks.sort_unstable_by_key(|t| t.task);
         let mut locs: Vec<(u64, LocSnapshot)> = Vec::new();
         self.history.pages.for_each(|idx, page| {
-            for (g, loc) in page.lock().iter().enumerate() {
+            for (g, loc) in page.locs.lock().iter().enumerate() {
                 if loc.is_new() {
                     continue;
                 }
@@ -682,21 +851,21 @@ impl RaceEngine {
             free: snap.free_slots.clone(),
             fresh: snap.fresh_slots.min(MAX_TIDS as u32),
         });
-        for t in &snap.tasks {
-            engine.task_shard(t.task).write().insert(
-                t.task,
-                TaskCell {
-                    tid: t.tid,
-                    own: t.own,
-                    vc: VectorClock::from_slots(t.clock.clone()),
-                    ended: t.ended,
-                    released: t.released,
-                },
-            );
-        }
+        engine.tasks.write().extend(snap.tasks.iter().map(|t| {
+            let cell = TaskCell {
+                tid: t.tid,
+                own: t.own,
+                vc: VectorClock::from_slots(t.clock.clone()),
+                ended: t.ended,
+                released: t.released,
+            };
+            (t.task, cell)
+        }));
+        // Restored pages start with empty repeat slots.
         for (granule, loc) in &snap.locs {
-            let granule = granule & !7;
-            engine.history.with_granules(granule, granule.saturating_add(8), |state| {
+            let page = engine.history.page(*granule);
+            let mut locs = page.locs.lock();
+            engine.history.update(&mut locs[granule_index(*granule)], |state| {
                 *state = LocState {
                     write_clock: loc.write_clock,
                     write_tid: loc.write_tid,
@@ -728,11 +897,7 @@ impl RaceEngine {
     /// whole history pages, the table nodes above them and the shared-read
     /// entries.
     pub fn approx_bytes(&self) -> u64 {
-        let task_bytes: u64 = self
-            .tasks
-            .iter()
-            .map(|s| s.read().values().map(|t| t.vc.approx_bytes() + 32).sum::<u64>())
-            .sum();
+        let task_bytes: u64 = self.tasks.read().values().map(|t| t.vc.approx_bytes() + 32).sum();
         let lock_bytes: u64 = self.locks.lock().values().map(|v| v.approx_bytes() + 16).sum();
         task_bytes + self.history.bytes() + lock_bytes
     }
@@ -970,6 +1135,24 @@ mod tests {
         assert_eq!(e.approx_bytes(), before, "the write dropped the shared entries");
         let snap = e.to_snapshot();
         assert_eq!(RaceEngine::from_snapshot(&snap).to_snapshot(), snap);
+    }
+
+    #[test]
+    fn a_read_that_leaves_an_epoch_read_state_clears_other_readers_slots() {
+        // Task 2 joins task 1 while 1 still runs, so 2 covers 1's epoch and
+        // 1 keeps it. 2's read then replaces 1's epoch read of the granule,
+        // and 1's next read must go back into the state, not be skipped as
+        // a repeat.
+        let e = RaceEngine::new();
+        e.fork(HOST, 1);
+        e.fork(HOST, 2);
+        e.check_read(1, 0xE00, 8);
+        e.join(2, 1);
+        e.check_read(2, 0xE00, 8);
+        e.check_read(1, 0xE00, 8);
+        let snap = e.to_snapshot();
+        let (_, loc) = snap.locs.iter().find(|(g, _)| *g == 0xE00).expect("touched");
+        assert!(matches!(&loc.read, ReadSnapshot::Shared(r) if r.len() == 2), "{loc:?}");
     }
 
     fn fork_end_join(e: &RaceEngine, parent: u32, child: u32) {

@@ -21,14 +21,21 @@
 //!
 //! Programs include runs of more than 4096 tasks in total, a long-lived
 //! task outlasting thousands of siblings, and more than 4096 tasks alive
-//! at once. Malformed streams, as a served trace may carry, must neither
-//! panic, nor allocate in proportion to a task id, nor let two live tasks
-//! share a slot. Each program builds and drops its own engine, and two
-//! threads run programs in turn.
+//! at once. Kernel-shaped programs re-read inputs and rewrite their own
+//! output in the same epoch, so many of their accesses repeat an earlier
+//! one; the sweep prints that share. Malformed streams, as a served trace
+//! may carry, must neither panic, nor allocate in proportion to a task id,
+//! nor let two live tasks share a slot. Each program builds and drops its
+//! own engine, and two threads run programs in turn.
+//!
+//! Both sweeps pin the engine's verdicts and states as goldens: the number
+//! of flagged accesses, a digest of the flagged (mode, seed, event)
+//! triples and a digest of every program's final snapshot. A change that
+//! alters a verdict on purpose updates them and says why.
 
 use arbalest::race::{RaceEngine, RaceSnapshot};
 use arbalest_ir::rng::SplitMix64;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 const HOST: u32 = 0;
@@ -216,6 +223,8 @@ struct Outcome {
     misses: u64,
     /// Event indices the engine flagged.
     engine_flags: Vec<usize>,
+    /// The engine's state after the last event.
+    snapshot: Option<RaceSnapshot>,
 }
 
 /// Run a well-formed program through the engine and the reference.
@@ -273,6 +282,7 @@ fn run(events: &[Ev], exact: bool) -> Outcome {
             }
         }
     }
+    out.snapshot = Some(engine.to_snapshot());
     out
 }
 
@@ -387,6 +397,111 @@ fn random_program(seed: u64, mixed: bool) -> Vec<Ev> {
         g.step();
     }
     g.events
+}
+
+/// A kernel-shaped program, as a `parallel for` leaves it. Per region the
+/// host forks a team of 2–4 tasks. Each task re-reads a shared input
+/// window, and reads and writes its own output chunk, in several rounds;
+/// some rounds update the chunk inside a critical section. Then the team
+/// ends and the host joins it. Some regions overlap two chunks or have a
+/// task write the input, so races occur. `elem` is the access size: 8, or
+/// 4 so that neighbouring chunks share granules.
+fn kernel_program(seed: u64, elem: u8) -> Vec<Ev> {
+    const LOCK: u64 = 0;
+    let mut rng = SplitMix64::new(seed);
+    let e = u64::from(elem);
+    let (input, output) = (BASE, BASE + 0x1000);
+    let access = |task, addr, write| Ev::Access { task, addr, size: elem, write };
+    let mut events = Vec::new();
+    let mut next = 1;
+    for _ in 0..rng.range(2, 5) {
+        let team: Vec<u32> = (next..next + rng.range(2, 4) as u32).collect();
+        next += team.len() as u32;
+        events.extend(team.iter().map(|&child| Ev::Fork { parent: HOST, child }));
+        let (first, window, chunk) = (rng.below(4), rng.range(1, 4), rng.range(1, 4));
+        let overlap = u64::from(rng.chance(1, 4));
+        let input_writer = rng.chance(1, 5).then(|| rng.below(team.len() as u64) as usize);
+        let mut scripts: Vec<VecDeque<Ev>> = Vec::new();
+        for (k, &t) in team.iter().enumerate() {
+            let start = output + e * (k as u64 * chunk).saturating_sub(overlap);
+            let mut script = VecDeque::new();
+            for round in 0..rng.range(2, 4) {
+                // A stencil's reads: each element's window overlaps the next.
+                for i in 0..chunk {
+                    let reads = (i..i + window).map(|j| access(t, input + e * (first + j), false));
+                    script.extend(reads);
+                }
+                let critical = rng.chance(1, 4);
+                if critical {
+                    script.push_back(Ev::Acquire(t, LOCK));
+                }
+                let write_first = rng.chance(1, 2);
+                for i in 0..chunk {
+                    let a = start + e * i;
+                    script.extend([access(t, a, !write_first), access(t, a, write_first)]);
+                }
+                if critical {
+                    script.push_back(Ev::Release(t, LOCK));
+                }
+                if input_writer == Some(k) && round == 1 {
+                    script.push_back(access(t, input + e * first, true));
+                }
+            }
+            script.push_back(Ev::End(t));
+            scripts.push(script);
+        }
+        // Interleave the scripts at random, one holder of the lock at a time.
+        let mut holder = None;
+        loop {
+            let ready: Vec<usize> = (0..scripts.len())
+                .filter(|&k| match scripts[k].front() {
+                    Some(Ev::Acquire(..)) => holder.is_none(),
+                    next => next.is_some(),
+                })
+                .collect();
+            if ready.is_empty() {
+                break;
+            }
+            let k = ready[rng.below(ready.len() as u64) as usize];
+            let ev = scripts[k].pop_front().expect("a ready script has an event");
+            match ev {
+                Ev::Acquire(t, _) => holder = Some(t),
+                Ev::Release(..) => holder = None,
+                _ => {}
+            }
+            events.push(ev);
+        }
+        events.extend(team.iter().map(|&joined| Ev::Join { waiter: HOST, joined }));
+        if rng.chance(1, 3) {
+            events.push(access(HOST, input + e * rng.below(8), true));
+        }
+    }
+    events
+}
+
+/// The accesses of `events`, and how many of them repeat the task's
+/// previous access to the same bytes with the same kind, with no sync
+/// event of that task and no write to the granule in between.
+fn count_repeats(events: &[Ev]) -> (u64, u64) {
+    let mut live: HashSet<(u32, u64, u8, bool)> = HashSet::new();
+    let (mut accesses, mut repeats) = (0, 0);
+    for &ev in events {
+        match ev {
+            Ev::Access { task, addr, size, write } => {
+                accesses += 1;
+                repeats += u64::from(live.contains(&(task, addr, size, write)));
+                if write {
+                    live.retain(|&(_, a, _, _)| a & !7 != addr & !7);
+                }
+                live.insert((task, addr, size, write));
+            }
+            _ => {
+                let [a, b] = ev.tasks();
+                live.retain(|&(t, ..)| t != a && t != b);
+            }
+        }
+    }
+    (accesses, repeats)
 }
 
 /// More than 4096 tasks in total, forked, ended and joined by the host a
@@ -529,49 +644,131 @@ fn check(events: &[Ev], exact: bool, what: &str) -> Outcome {
     out
 }
 
-/// Seeds `seeds` of both modes and malformed streams, split over two
-/// threads that each build and drop one engine per program. Prints the
-/// mixed-size misses.
-fn sweep(seeds: std::ops::Range<u64>) {
-    std::thread::scope(|s| {
+/// FNV-1a, for digests that do not depend on hashing seeds.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// What a sweep saw, summed over its programs.
+#[derive(Debug, Default)]
+struct Tally {
+    /// Accesses the engine flagged.
+    flags: u64,
+    /// Sum of the digests of the flagged (mode, seed, event) triples.
+    flag_digest: u64,
+    /// Sum of the digests of every program's final snapshot.
+    state_digest: u64,
+    /// Mixed-size mode: reference races on granules the engine had not
+    /// flagged yet, and how many of them the engine missed.
+    raced: u64,
+    misses: u64,
+    /// Kernel-shaped programs: accesses, and same-epoch repeats among them.
+    kernel_accesses: u64,
+    kernel_repeats: u64,
+}
+
+impl Tally {
+    fn note(&mut self, mode: &str, seed: u64, flags: &[usize], snap: &RaceSnapshot) {
+        self.flags += flags.len() as u64;
+        for i in flags {
+            self.flag_digest =
+                self.flag_digest.wrapping_add(fnv(format!("{mode} {seed} {i}").as_bytes()));
+        }
+        self.state_digest =
+            self.state_digest.wrapping_add(fnv(format!("{mode} {seed} {snap:?}").as_bytes()));
+    }
+
+    fn add(self, o: Tally) -> Tally {
+        Tally {
+            flags: self.flags + o.flags,
+            flag_digest: self.flag_digest.wrapping_add(o.flag_digest),
+            state_digest: self.state_digest.wrapping_add(o.state_digest),
+            raced: self.raced + o.raced,
+            misses: self.misses + o.misses,
+            kernel_accesses: self.kernel_accesses + o.kernel_accesses,
+            kernel_repeats: self.kernel_repeats + o.kernel_repeats,
+        }
+    }
+
+    fn note_checked(&mut self, mode: &str, seed: u64, out: &Outcome) {
+        let snap = out.snapshot.as_ref().expect("run keeps the final state");
+        self.note(mode, seed, &out.engine_flags, snap);
+    }
+}
+
+/// One seed of every mode: 8-byte and mixed-size random programs, kernel
+/// programs of 8- and 4-byte elements, and a malformed stream.
+fn sweep_seed(seed: u64, tally: &mut Tally) {
+    let out = check(&random_program(seed, false), true, &format!("8-byte seed {seed}"));
+    tally.note_checked("8-byte", seed, &out);
+    let out = check(&random_program(seed, true), false, &format!("mixed seed {seed}"));
+    tally.note_checked("mixed", seed, &out);
+    tally.raced += out.raced;
+    tally.misses += out.misses;
+    for elem in [8, 4] {
+        let events = kernel_program(seed, elem);
+        let out = check(&events, elem == 8, &format!("kernel-{elem} seed {seed}"));
+        tally.note_checked(&format!("kernel-{elem}"), seed, &out);
+        let (accesses, repeats) = count_repeats(&events);
+        tally.kernel_accesses += accesses;
+        tally.kernel_repeats += repeats;
+    }
+    let stream = malformed_stream(seed);
+    let engine = RaceEngine::new();
+    let flags: Vec<usize> = (0..stream.len()).filter(|&i| stream[i].apply(&engine)).collect();
+    let snap = engine.to_snapshot();
+    assert_no_aliasing(&snap, &format!("malformed seed {seed}"));
+    assert_eq!(RaceEngine::from_snapshot(&snap).to_snapshot(), snap);
+    assert!(
+        engine.approx_bytes() < 8 << 20,
+        "malformed seed {seed}: {} bytes",
+        engine.approx_bytes()
+    );
+    tally.note("malformed", seed, &flags, &snap);
+}
+
+/// Seeds `seeds` of every mode, split over two threads that each build
+/// and drop one engine per program. Prints the mixed-size misses and the
+/// kernel programs' repeat share, and checks the repeats are at least 30%
+/// of their accesses.
+fn sweep(seeds: std::ops::Range<u64>) -> Tally {
+    let tally = std::thread::scope(|s| {
         let workers: Vec<_> = (0..2u64)
             .map(|w| {
                 let seeds = seeds.clone();
                 s.spawn(move || {
-                    let (mut raced, mut misses) = (0, 0);
+                    let mut tally = Tally::default();
                     for seed in seeds.filter(|s| s % 2 == w) {
-                        check(&random_program(seed, false), true, &format!("8-byte seed {seed}"));
-                        let out = check(
-                            &random_program(seed, true),
-                            false,
-                            &format!("mixed seed {seed}"),
-                        );
-                        raced += out.raced;
-                        misses += out.misses;
-                        let stream = malformed_stream(seed);
-                        let engine = RaceEngine::new();
-                        for ev in &stream {
-                            ev.apply(&engine);
-                        }
-                        let snap = engine.to_snapshot();
-                        assert_no_aliasing(&snap, &format!("malformed seed {seed}"));
-                        assert_eq!(RaceEngine::from_snapshot(&snap).to_snapshot(), snap);
-                        assert!(
-                            engine.approx_bytes() < 8 << 20,
-                            "malformed seed {seed}: {} bytes",
-                            engine.approx_bytes()
-                        );
+                        sweep_seed(seed, &mut tally);
                     }
-                    (raced, misses)
+                    tally
                 })
             })
             .collect();
-        let (raced, misses) = workers
+        workers
             .into_iter()
             .map(|w| w.join().expect("sweep worker"))
-            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-        println!("mixed-size mode: the engine missed {misses} of {raced} reference races");
+            .fold(Tally::default(), Tally::add)
     });
+    println!(
+        "mixed-size mode: the engine missed {} of {} reference races",
+        tally.misses, tally.raced
+    );
+    let share = tally.kernel_repeats as f64 / tally.kernel_accesses.max(1) as f64;
+    println!(
+        "kernel programs: {} of {} accesses repeat a same-epoch access ({:.1}%)",
+        tally.kernel_repeats,
+        tally.kernel_accesses,
+        100.0 * share
+    );
+    assert!(share >= 0.3, "kernel programs repeat too little: {tally:?}");
+    println!(
+        "verdict goldens: {} flags, flag digest {:#018x}, state digest {:#018x}",
+        tally.flags, tally.flag_digest, tally.state_digest
+    );
+    tally
 }
 
 fn big_programs(seed: u64) {
@@ -621,16 +818,28 @@ fn disjoint_bytes_of_shared_reads_do_not_race() {
     assert_eq!(out.engine_flags, vec![events.len() - 1], "only the overlapping write races");
 }
 
+/// Flags, flag digest and state digest of a sweep.
+fn goldens(t: Tally) -> (u64, u64, u64) {
+    (t.flags, t.flag_digest, t.state_digest)
+}
+
 #[test]
 fn mini_sweep_agrees_with_the_reference() {
-    sweep(0..48);
+    let tally = sweep(0..48);
+    // 3438 8-byte, 2373 mixed, 312 + 210 kernel and 1914 malformed flags.
+    let expected = (8247, 0x6b76_47c8_d446_b72d, 0x8d11_01db_e8a2_1860);
+    assert_eq!(goldens(tally), expected, "the mini sweep's verdicts or states changed");
     big_programs(1);
 }
 
 #[test]
 #[ignore = "long sweep; run explicitly (ci.sh runs it in release)"]
 fn long_sweep_agrees_with_the_reference() {
-    sweep(0..3000);
+    let tally = sweep(0..3000);
+    // 232,779 8-byte, 161,398 mixed, 19,989 + 14,188 kernel and 115,294
+    // malformed flags.
+    let expected = (543_648, 0x8dfd_f0aa_42db_2529, 0xad70_c8ab_0b8b_584a);
+    assert_eq!(goldens(tally), expected, "the long sweep's verdicts or states changed");
     for seed in 2..10 {
         big_programs(seed);
     }
