@@ -15,12 +15,11 @@
 //! size via `ARBALEST_TEAM` (default 4).
 
 use arbalest_baselines::{paper_name, TOOLS};
-use arbalest_bench::{measure, preset_from_env};
+use arbalest_bench::{measure, preset_from_env, team_from_env};
 
 fn main() {
     let preset = preset_from_env();
-    let team: usize =
-        std::env::var("ARBALEST_TEAM").ok().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let team = team_from_env();
     println!("FIG. 8: Time Overhead on SPEC ACCEL (reproduction)");
     println!("preset = {preset:?}, team = {team}\n");
     print!("{:<12}{:>12}", "benchmark", "Native");

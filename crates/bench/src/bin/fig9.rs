@@ -9,12 +9,11 @@
 //! Archer's shadow words (§VI-F).
 
 use arbalest_baselines::{paper_name, TOOLS};
-use arbalest_bench::{fmt_bytes, measure, preset_from_env};
+use arbalest_bench::{fmt_bytes, measure, preset_from_env, team_from_env};
 
 fn main() {
     let preset = preset_from_env();
-    let team: usize =
-        std::env::var("ARBALEST_TEAM").ok().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let team = team_from_env();
     println!("FIG. 9: Space Overhead on SPEC ACCEL (reproduction)");
     println!("preset = {preset:?}, team = {team}\n");
     print!("{:<12}{:>14}", "benchmark", "Native");

@@ -17,20 +17,24 @@
 //! one overhead ratio per pair, and the *median* ratio reported. Spikes
 //! contaminate individual pairs in either direction; the median needs a
 //! majority of pairs to be clean, not a perfectly quiet machine.
-//! The binary exits non-zero when the measured overhead exceeds the
-//! budget (default 5%, the bound DESIGN.md §12 commits to), making it
-//! usable as a CI gate, and appends its result to `BENCH_obs.json`.
+//! The binary exits non-zero when the measured overhead exceeds
+//! [`BUDGET_PCT`], the bound DESIGN.md §12 commits to, making it usable
+//! as a CI gate, and appends its result to `BENCH_obs.json`.
 //!
 //! ```text
-//! obs_overhead [--quick] [--budget <pct>] [--out <file>]
+//! obs_overhead [--quick] [--out <file>]
 //! ```
 
+use arbalest_bench::append_to_ledger;
 use arbalest_core::{Arbalest, ArbalestConfig};
 use arbalest_obs::Registry;
 use arbalest_offload::json::Json;
 use arbalest_offload::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The metrics overhead the gate allows, in percent (DESIGN.md §12).
+const BUDGET_PCT: f64 = 5.0;
 
 /// One full DRACC sweep with every detector and runtime recording into
 /// `reg`; returns the wall time in seconds.
@@ -47,18 +51,11 @@ fn sweep(reg: &Registry, cfg: &ArbalestConfig) -> f64 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    let mut budget = 5.0f64;
     let mut out = "BENCH_obs.json".to_string();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--budget" => {
-                budget = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--budget needs a percentage");
-            }
             "--out" => out = it.next().expect("--out needs a file path").clone(),
             other => {
                 eprintln!("unknown option '{other}'");
@@ -72,7 +69,7 @@ fn main() {
     // A fresh registry per enabled sweep so series-registration cost is
     // included in the measurement. Three rungs on the ladder:
     //   off   — Registry::disabled(), the uninstrumented floor;
-    //   on    — live metrics + span timing (the ≤ budget%-gated default);
+    //   on    — live metrics + span timing (the ≤ BUDGET_PCT-gated default);
     //   prov  — metrics plus per-buffer VSM provenance capture, the
     //           `arbalest explain` configuration (opt-in, reported but
     //           not gated: explain runs are diagnostic, not production).
@@ -131,7 +128,7 @@ fn main() {
     println!("  uninstrumented:       {:>9.3} ms  (best sweep)", best_off * 1e3);
     println!("  instrumented:         {:>9.3} ms  (best sweep)", best_on * 1e3);
     println!("  with provenance:      {:>9.3} ms  (best sweep)", best_prov * 1e3);
-    println!("  overhead:             {overhead_pct:>8.2} %   (budget {budget}%)");
+    println!("  overhead:             {overhead_pct:>8.2} %   (budget {BUDGET_PCT}%)");
     println!("  provenance overhead:  {prov_overhead_pct:>8.2} %   (informational)");
 
     let entry = Json::obj(vec![
@@ -143,29 +140,17 @@ fn main() {
         ("provenance_s", Json::Num(best_prov)),
         ("overhead_pct", Json::Num(overhead_pct)),
         ("provenance_overhead_pct", Json::Num(prov_overhead_pct)),
-        ("budget_pct", Json::Num(budget)),
-        ("pass", Json::Bool(overhead_pct <= budget)),
+        ("budget_pct", Json::Num(BUDGET_PCT)),
+        ("pass", Json::Bool(overhead_pct <= BUDGET_PCT)),
     ]);
-    // The output file holds one JSON array of entries; append in place.
-    let body = match std::fs::read_to_string(&out) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end().trim_end_matches(']').trim_end();
-            if trimmed.is_empty() || trimmed == "[" {
-                format!("[\n{}\n]\n", entry.emit())
-            } else {
-                format!("{},\n{}\n]\n", trimmed.trim_end_matches(','), entry.emit())
-            }
-        }
-        Err(_) => format!("[\n{}\n]\n", entry.emit()),
-    };
-    if let Err(e) = std::fs::write(&out, body) {
-        eprintln!("write {out}: {e}");
+    if let Err(e) = append_to_ledger(&out, &entry) {
+        eprintln!("append to {out}: {e}");
         std::process::exit(1);
     }
     println!("  appended to {out}");
 
-    if overhead_pct > budget {
-        eprintln!("FAIL: observability overhead {overhead_pct:.2}% exceeds budget {budget}%");
+    if overhead_pct > BUDGET_PCT {
+        eprintln!("FAIL: observability overhead {overhead_pct:.2}% exceeds budget {BUDGET_PCT}%");
         std::process::exit(1);
     }
 }

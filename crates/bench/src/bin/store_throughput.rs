@@ -22,6 +22,7 @@
 //! store_throughput [--quick] [--out <file>] [--fsync <always|group[=n]|never>]
 //! ```
 
+use arbalest_bench::append_to_ledger;
 use arbalest_core::{AnalysisSession, ArbalestConfig};
 use arbalest_obs::Registry;
 use arbalest_offload::json::Json;
@@ -213,20 +214,8 @@ fn main() {
         ("recover_snapshot_p50_ms", Json::Num(snap_p50)),
         ("recover_snapshot_p99_ms", Json::Num(snap_p99)),
     ]);
-    // The output file holds one JSON array of entries; append in place.
-    let body = match std::fs::read_to_string(&out) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end().trim_end_matches(']').trim_end();
-            if trimmed.is_empty() || trimmed == "[" {
-                format!("[\n{}\n]\n", entry.emit())
-            } else {
-                format!("{},\n{}\n]\n", trimmed.trim_end_matches(','), entry.emit())
-            }
-        }
-        Err(_) => format!("[\n{}\n]\n", entry.emit()),
-    };
-    if let Err(e) = std::fs::write(&out, body) {
-        eprintln!("write {out}: {e}");
+    if let Err(e) = append_to_ledger(&out, &entry) {
+        eprintln!("append to {out}: {e}");
         std::process::exit(1);
     }
     println!("  appended to {out}");

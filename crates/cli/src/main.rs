@@ -348,12 +348,7 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
                 o.tools.push(v);
             }
             "--preset" => {
-                o.preset = match it.next().map(String::as_str) {
-                    Some("test") => Preset::Test,
-                    Some("small") => Preset::Small,
-                    Some("medium") => Preset::Medium,
-                    other => return Err(format!("bad --preset {other:?}")),
-                };
+                o.preset = flag_value(flag, it.next(), "test|small|medium", path)?.parse()?;
             }
             "--unified" => o.unified = true,
             "--serialize" => o.serialize = true,

@@ -109,6 +109,7 @@ fn bad_flags_are_refused_and_unread_ones_ignored() {
         (&["dracc", "22", "--frobnicate"][..], "unknown option '--frobnicate'"),
         (&["serve", "--frobnicate"], "unknown option '--frobnicate'"),
         (&["serve", "--idle-timeout", "inf"], "--idle-timeout needs seconds"),
+        (&["spec", "all", "--preset", "bogus"], "unknown preset 'bogus' (want test|small|medium)"),
     ] {
         let (code, stderr) = exit_code(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");

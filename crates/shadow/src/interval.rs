@@ -467,4 +467,40 @@ mod proptests {
             }
         }
     }
+
+    /// §IV-C's O(log m) CV lookup, counted in nodes rather than timed:
+    /// with m sections mapped in order or shuffled, the tree keeps the
+    /// AVL height bound and a stab visits at most two root-to-leaf paths.
+    #[test]
+    fn stab_visits_stay_logarithmic_in_mapped_sections() {
+        for m in [1u64, 8, 64, 512, 4096] {
+            let mut shuffled: Vec<u64> = (0..m).collect();
+            let mut rng = Rng(m.wrapping_mul(0x9E3779B97F4A7C15));
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            for order in [(0..m).collect(), shuffled] {
+                let mut tree = IntervalTree::new();
+                for &i in &order {
+                    tree.insert(i * 64, i * 64 + 48, i);
+                }
+                tree.check_invariants();
+                let height = tree.root.as_ref().map_or(0, |n| n.height);
+                let avl_bound = 1.4405 * ((m + 2) as f64).log2();
+                assert!(f64::from(height) <= avl_bound, "m={m}: height {height}");
+                let mut max_visits = 0;
+                for i in 0..m {
+                    for point in [i * 64, i * 64 + 24, i * 64 + 47] {
+                        let (lo, _, v, visits) = tree.stab_with_depth(point).expect("mapped");
+                        assert_eq!((lo, *v), (i * 64, i), "m={m}: stab({point})");
+                        max_visits = max_visits.max(visits);
+                    }
+                }
+                assert!(
+                    max_visits <= 2 * height as u32,
+                    "m={m}: a stab visited {max_visits} nodes at height {height}"
+                );
+            }
+        }
+    }
 }

@@ -38,6 +38,19 @@ pub enum Preset {
     Medium,
 }
 
+impl std::str::FromStr for Preset {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Preset, String> {
+        match s {
+            "test" => Ok(Preset::Test),
+            "small" => Ok(Preset::Small),
+            "medium" => Ok(Preset::Medium),
+            _ => Err(format!("unknown preset '{s}' (want test|small|medium)")),
+        }
+    }
+}
+
 /// A runnable workload.
 pub struct Workload {
     /// Short name.
@@ -74,6 +87,19 @@ mod tests {
         assert_eq!(w.len(), 5);
         assert_eq!(w[0].spec_id, "503.postencil");
         assert_eq!(w[4].spec_id, "554.pcg");
+    }
+
+    #[test]
+    fn presets_parse_by_name_and_refuse_the_rest() {
+        for (name, p) in
+            [("test", Preset::Test), ("small", Preset::Small), ("medium", Preset::Medium)]
+        {
+            assert_eq!(name.parse::<Preset>(), Ok(p));
+        }
+        for bad in ["", "bogus", "Small", "small "] {
+            let err = bad.parse::<Preset>().unwrap_err();
+            assert!(err.contains("test|small|medium"), "{bad:?}: {err}");
+        }
     }
 
     #[test]
