@@ -155,8 +155,8 @@ kill -9 "$SERVE_PID"; wait "$SERVE_PID" 2>/dev/null || true
 INSPECT_OUT="$("$ARB" store inspect "$DATA")"
 echo "$INSPECT_OUT" | grep -q "session $SESSION" \
     || { echo "WAL lost session $SESSION after kill -9:"; echo "$INSPECT_OUT"; exit 1; }
-# Restart over the same data directory: recovery must rebuild the
-# session, and resuming + finishing it must match an uninterrupted run.
+# Restart over the same data directory: resuming must rebuild the
+# session from disk, and finishing it must match an uninterrupted run.
 timeout 60 "$ARB" serve --listen "unix:$DSOCK" --shards 2 --data-dir "$DATA" &
 SERVE_PID=$!
 # $! is now the timeout wrapper: a SIGTERM reaches the server through
@@ -175,6 +175,11 @@ FRESH_OUT="$("$ARB" submit "$DTRACE" --connect "unix:$DSOCK" --deadline 30)"
 # Both sessions finished cleanly, so their durable state must be gone.
 LEFT="$(ls "$DATA/sessions" 2>/dev/null | wc -l)"
 [[ "$LEFT" == "0" ]] || { echo "finished sessions left durable state"; exit 1; }
+# The resumed session was rebuilt once, at the resume, and counted once:
+# nothing may still count as active.
+STATS_OUT="$("$ARB" stats --connect "unix:$DSOCK")"
+echo "$STATS_OUT" | grep -q " 0 active" \
+    || { echo "restarted server still counts a session active:"; echo "$STATS_OUT"; exit 1; }
 "$ARB" stop --connect "unix:$DSOCK"
 wait "$SERVE_PID" || { echo "durable server exited non-zero"; exit 1; }
 trap - EXIT

@@ -45,6 +45,31 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+// `print!` and `println!` that end the process quietly when stdout is
+// closed (`arbalest dracc all | head -1`), where std's versions panic.
+// They shadow the prelude macros for the rest of this file.
+macro_rules! print {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+macro_rules! println {
+    () => { print!("\n") };
+    ($($arg:tt)*) => { print!("{}\n", format_args!($($arg)*)) };
+}
+
+/// Write to stdout. A reader that went away ends the process with the
+/// status a shell gives a command that SIGPIPE killed (128 + 13).
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum OutputFormat {
     Text,
@@ -79,14 +104,11 @@ struct Options {
     /// serve: bind address; submit/stats/stop: server address.
     addr: String,
     shards: usize,
-    queue_cap: usize,
     chunk: usize,
     /// record: output trace file.
     out: Option<String>,
     /// serve: per-session byte budget (`0` = unlimited).
     max_session_bytes: u64,
-    /// serve: per-session inflight-event cap (`0` = unlimited).
-    max_inflight: u64,
     /// serve: per-instance frame-size ceiling.
     max_frame: u32,
     /// serve: idle-connection reap timeout.
@@ -194,13 +216,10 @@ options:
                              default unix:/tmp/arbalest.sock)
   --connect <addr>           submit/stats/stop: server address
                              (default unix:/tmp/arbalest.sock)
-  --shards <n>               serve: analysis worker threads (default 4)
-  --queue-cap <n>            serve: per-shard queue bound (default 128)
+  --shards <n>               serve: sessions analysed at once (default 4)
   --max-session-bytes <n>    serve: per-session memory budget, K/M/G suffix
                              ok (default 0 = unlimited); over budget a
                              session degrades, then fails typed
-  --max-inflight <n>         serve: per-session queued-event cap
-                             (default 0 = unlimited; beyond it: Busy)
   --max-frame <n>            serve: frame-size ceiling, K/M/G suffix ok
                              (default 32M)
   --idle-timeout <secs>      serve: reap connections idle this long
@@ -210,8 +229,8 @@ options:
   --drain-deadline <secs>    serve: shutdown waits this long for in-flight
                              connections (default 10)
   --data-dir <dir>           serve: write-ahead log every accepted batch
-                             under <dir>, recover unfinished sessions at
-                             startup (default: no durability)
+                             under <dir>, so submit --resume can rebuild
+                             an unfinished session (default: no durability)
   --trace-dir <dir>          serve: write each cleanly finished *traced*
                              session's span tree to <dir>/session-<id>.json
                              (Chrome/Perfetto JSON; untraced sessions write
@@ -314,11 +333,9 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
         apply_check: false,
         addr: "unix:/tmp/arbalest.sock".into(),
         shards: 4,
-        queue_cap: 128,
         chunk: 1024,
         out: None,
         max_session_bytes: server.max_session_bytes,
-        max_inflight: server.max_inflight_events,
         max_frame: server.max_frame,
         idle_timeout: server.idle_timeout,
         request_deadline: server.request_deadline,
@@ -382,14 +399,10 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
             "--apply-check" => o.apply_check = true,
             "--listen" | "--connect" => o.addr = flag_value(flag, it.next(), "an address", path)?,
             "--shards" => o.shards = flag_value(flag, it.next(), "a number", parse_num)?,
-            "--queue-cap" => o.queue_cap = flag_value(flag, it.next(), "a number", parse_num)?,
             "--chunk" => o.chunk = flag_value(flag, it.next(), "a number", parse_num)?,
             "-o" => o.out = Some(flag_value(flag, it.next(), "a file path", path)?),
             "--max-session-bytes" => {
                 o.max_session_bytes = flag_value(flag, it.next(), bytes, parse_bytes)?;
-            }
-            "--max-inflight" => {
-                o.max_inflight = flag_value(flag, it.next(), "a number", parse_num)?;
             }
             "--max-frame" => {
                 let n = flag_value(flag, it.next(), bytes, parse_bytes)?;
@@ -1461,9 +1474,7 @@ fn cmd_serve(opts: &Options) -> ExitCode {
     let addr = ListenAddr::parse(&opts.addr);
     let cfg = ServerConfig {
         shards: opts.shards,
-        queue_cap: opts.queue_cap,
         max_session_bytes: opts.max_session_bytes,
-        max_inflight_events: opts.max_inflight,
         max_frame: opts.max_frame,
         idle_timeout: opts.idle_timeout,
         request_deadline: opts.request_deadline,
@@ -1643,8 +1654,7 @@ fn cmd_stats(opts: &Options) -> ExitCode {
                 s.sessions_finished,
                 s.sessions_active()
             );
-            println!("events received: {}   busy rejections: {}", s.events_received, s.busy_rejections);
-            println!("queue depths: {:?}", s.queue_depths);
+            println!("events received: {}", s.events_received);
             for (kind, n) in ReportKind::ALL.iter().zip(s.reports_by_kind) {
                 if n > 0 {
                     println!("reports[{}]: {n}", kind.label());

@@ -109,6 +109,8 @@ fn bad_flags_are_refused_and_unread_ones_ignored() {
         (&["dracc", "22", "--frobnicate"][..], "unknown option '--frobnicate'"),
         (&["serve", "--frobnicate"], "unknown option '--frobnicate'"),
         (&["serve", "--idle-timeout", "inf"], "--idle-timeout needs seconds"),
+        (&["serve", "--queue-cap", "8"], "unknown option '--queue-cap'"),
+        (&["serve", "--max-inflight", "8"], "unknown option '--max-inflight'"),
         (&["spec", "all", "--preset", "bogus"], "unknown preset 'bogus' (want test|small|medium)"),
     ] {
         let (code, stderr) = exit_code(args);
@@ -119,6 +121,29 @@ fn bad_flags_are_refused_and_unread_ones_ignored() {
     let (ok, stdout, _) = run(&["dracc", "22", "--quiet", "--listen", "x"]);
     assert!(ok);
     assert!(stdout.contains("DETECTED"), "{stdout}");
+}
+
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_arbalest"))
+        .args(["fix", "all", "--quiet"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    // The reader drops at the end of the statement, closing the pipe
+    // while the command still has rows to print.
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    let out = child.wait_with_output().expect("command exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(first.contains("DRACC_OMP_001"), "{first}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
 
 #[test]

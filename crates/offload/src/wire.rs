@@ -27,8 +27,10 @@ use std::fmt;
 /// Magic prefix of a serialized trace file (`arbalest record`).
 pub const TRACE_MAGIC: [u8; 4] = *b"ABTR";
 
-/// Version of the event/report byte layout. Bump on any layout change.
-pub const WIRE_VERSION: u16 = 1;
+/// Version of a trace file's layout: the event encoding behind
+/// [`TRACE_MAGIC`]. Bump on any change to the event layout (the service
+/// protocol's own version, `arbalest_server::WIRE_VERSION`, then moves too).
+pub const TRACE_VERSION: u16 = 1;
 
 /// Longest string (buffer name, message, file path) a decoder will
 /// allocate. Anything larger is rejected before allocation.
@@ -701,7 +703,7 @@ pub fn decode_span_events(cur: &mut Cursor<'_>) -> Result<Vec<arbalest_obs::Span
 pub fn encode_trace(events: &[TraceEvent]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&TRACE_MAGIC);
-    put_u16(&mut out, WIRE_VERSION);
+    put_u16(&mut out, TRACE_VERSION);
     out.extend_from_slice(&encode_events(events));
     out
 }
@@ -714,8 +716,8 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Vec<TraceEvent>, WireError> {
         return Err(WireError::BadMagic);
     }
     let version = cur.u16()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::Version { got: version, want: WIRE_VERSION });
+    if version != TRACE_VERSION {
+        return Err(WireError::Version { got: version, want: TRACE_VERSION });
     }
     let events = decode_events(&mut cur)?;
     if !cur.is_empty() {

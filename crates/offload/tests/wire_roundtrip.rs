@@ -303,7 +303,7 @@ fn hostile_lengths_do_not_allocate() {
     // A count field of u32::MAX with no bytes behind it must be refused
     // by the bound check, not fed to Vec::with_capacity.
     let mut bytes = wire::TRACE_MAGIC.to_vec();
-    bytes.extend_from_slice(&wire::WIRE_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&wire::TRACE_VERSION.to_le_bytes());
     bytes.extend_from_slice(&u32::MAX.to_le_bytes());
     match wire::decode_trace(&bytes) {
         Err(WireError::Oversize { .. }) | Err(WireError::Truncated { .. }) => {}
@@ -312,7 +312,7 @@ fn hostile_lengths_do_not_allocate() {
 
     // Same for a string length inside a BufferRegistered event.
     let mut bytes = wire::TRACE_MAGIC.to_vec();
-    bytes.extend_from_slice(&wire::WIRE_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&wire::TRACE_VERSION.to_le_bytes());
     bytes.extend_from_slice(&1u32.to_le_bytes()); // one event
     bytes.push(0); // BufferRegistered tag
     bytes.extend_from_slice(&7u32.to_le_bytes()); // BufferId
@@ -349,7 +349,7 @@ fn trailing_garbage_is_rejected() {
 // after the original protocol (Metrics 0x06, MetricsReply 0x88,
 // SessionFailed 0x89) and the tracing admin pair (TraceSnapshot 0x09 /
 // TraceSnapshotReply 0x8C); the retired migration tags (0x07, 0x08,
-// 0x8A, 0x8B) must be refused.
+// 0x8A, 0x8B) and the retired `Busy` tag (0x83) must be refused.
 // ---------------------------------------------------------------------------
 
 use arbalest_server::proto::{Frame, ProtoError, StatsSnapshot, WIRE_VERSION};
@@ -380,7 +380,6 @@ fn frame_exemplars() -> Vec<(u8, Frame)> {
         (0x09, Frame::TraceSnapshot),
         (0x81, Frame::HelloAck { version: WIRE_VERSION, shards: 8, session: 42 }),
         (0x82, Frame::EventsAck { accepted: 1024 }),
-        (0x83, Frame::Busy { queue_depth: 17 }),
         (0x84, Frame::Reports(Vec::new())),
         (
             0x85,
@@ -388,9 +387,7 @@ fn frame_exemplars() -> Vec<(u8, Frame)> {
                 sessions_started: 5,
                 sessions_finished: 3,
                 events_received: 999,
-                busy_rejections: 1,
                 session_events: 40,
-                queue_depths: vec![0, 2, 7],
                 ..Default::default()
             }),
         ),
@@ -463,12 +460,12 @@ fn frame_tag_assignment_is_a_bijection() {
         }
     }
     assert_eq!(tag_to_label.len(), label_to_tag.len());
-    assert_eq!(tag_to_label.len(), 17, "every frame type has an exemplar");
+    assert_eq!(tag_to_label.len(), 16, "every frame type has an exemplar");
 }
 
 #[test]
 fn unknown_frame_tags_are_typed_errors() {
-    for tag in [0x00u8, 0x07, 0x08, 0x0A, 0x7F, 0x80, 0x8A, 0x8B, 0x8D, 0xFF] {
+    for tag in [0x00u8, 0x07, 0x08, 0x0A, 0x7F, 0x80, 0x83, 0x8A, 0x8B, 0x8D, 0xFF] {
         let bytes = [2u32.to_le_bytes().as_slice(), &[tag, 0]].concat();
         match decode_frame(&bytes) {
             Err(ProtoError::Wire(WireError::BadTag { .. })) => {}

@@ -1,27 +1,70 @@
 //! Client side of the analysis service: connect, stream a trace, collect
 //! the reports.
 //!
-//! The client owns the backpressure loop: a `Busy` answer to an `Events`
-//! batch means *nothing was enqueued*, so the same batch is retried after
-//! an exponential backoff (1 ms doubling to a 50 ms ceiling). A server
-//! that stays busy past [`Client::MAX_BUSY_RETRIES`] consecutive refusals
-//! turns into [`ProtoError::Overloaded`] instead of an unbounded stall.
+//! The server acks an `Events` batch only once it has logged and
+//! analysed it. [`Client::submit`] keeps one batch ahead of the acks, so
+//! a connection has at most two batches in flight; every other request
+//! waits for its reply. That, and TCP flow control, is the whole of
+//! backpressure.
 
 use crate::proto::{Frame, ProtoError, StatsSnapshot, WIRE_VERSION};
 use crate::server::ListenAddr;
-use arbalest_obs::{Registry, SpanContext, SpanEvent};
+use arbalest_obs::{Registry, Span, SpanContext, SpanEvent};
 use arbalest_offload::report::Report;
 use arbalest_offload::trace::TraceEvent;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default number of events per `Events` frame when streaming a trace.
 pub const DEFAULT_CHUNK: usize = 1024;
 
-trait Transport: Read + Write + Send {}
-impl<T: Read + Write + Send> Transport for T {}
+trait Transport: Read + Write + Send {
+    /// Bound each later read; a caller's own stream keeps its timeouts.
+    fn set_read_timeout(&self, _limit: Option<Duration>) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Transport for TcpStream {
+    fn set_read_timeout(&self, limit: Option<Duration>) -> std::io::Result<()> {
+        TcpStream::set_read_timeout(self, limit)
+    }
+}
+
+impl Transport for UnixStream {
+    fn set_read_timeout(&self, limit: Option<Duration>) -> std::io::Result<()> {
+        UnixStream::set_read_timeout(self, limit)
+    }
+}
+
+/// A stream handed to [`Client::from_stream`].
+struct Given<T>(T);
+
+impl<T: Read> Read for Given<T> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.0.read(buf)
+    }
+}
+
+impl<T: Write> Write for Given<T> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.write(buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
+}
+
+impl<T: Read + Write + Send> Transport for Given<T> {}
+
+/// A batch sent and not yet acked.
+struct Posted {
+    started: Instant,
+    /// The batch's `client_submit` span, recorded when the ack arrives.
+    _span: Option<Span>,
+}
 
 /// One connection to an `arbalest serve` instance.
 pub struct Client {
@@ -34,10 +77,6 @@ pub struct Client {
 }
 
 impl Client {
-    /// Consecutive `Busy` refusals of one batch before giving up with
-    /// [`ProtoError::Overloaded`].
-    pub const MAX_BUSY_RETRIES: u32 = 200;
-
     /// Connect over TCP or a Unix-domain socket, per the address kind.
     pub fn connect(addr: &ListenAddr) -> std::io::Result<Client> {
         let stream: Box<dyn Transport> = match addr {
@@ -55,7 +94,12 @@ impl Client {
 
     /// Wrap an already-connected byte stream (used by in-process tests).
     pub fn from_stream(stream: impl Read + Write + Send + 'static) -> Client {
-        Client { stream: Box::new(stream), session: None, deadline: None, tracer: Registry::disabled() }
+        Client {
+            stream: Box::new(Given(stream)),
+            session: None,
+            deadline: None,
+            tracer: Registry::disabled(),
+        }
     }
 
     /// Enable causal tracing: every subsequent batch is stamped with a
@@ -68,21 +112,45 @@ impl Client {
         self
     }
 
-    /// Bound every subsequent operation (including its `Busy` retry loop)
-    /// to `deadline` total wall clock; past it the operation fails with
-    /// the typed [`ProtoError::DeadlineExceeded`] instead of retrying on.
-    /// Chaos soaks use this to cap worst-case client latency.
+    /// Bound the wait for every subsequent reply to `deadline` total wall
+    /// clock; past it the operation fails with the typed
+    /// [`ProtoError::DeadlineExceeded`]. On a stream given to
+    /// [`Client::from_stream`] the check runs when the stream's own read
+    /// timeout fires. Chaos soaks use this to cap worst-case client
+    /// latency.
     pub fn with_deadline(mut self, deadline: Duration) -> Client {
+        // A failed set leaves reads unbounded, as without a deadline.
+        let _ = self.stream.set_read_timeout(Some(deadline));
         self.deadline = Some(deadline);
         self
     }
 
     fn call(&mut self, frame: &Frame) -> Result<Frame, ProtoError> {
+        let started = self.send(frame)?;
+        self.reply(started)
+    }
+
+    /// Write `frame`; returns when it was sent, where its reply's deadline
+    /// starts.
+    fn send(&mut self, frame: &Frame) -> Result<Instant, ProtoError> {
+        let started = Instant::now();
         frame.write_to(&mut self.stream)?;
-        match Frame::read_from(&mut self.stream, &mut || true)? {
-            Frame::Error { message } => Err(ProtoError::Remote(message)),
-            Frame::SessionFailed(failure) => Err(ProtoError::Failed(failure)),
-            reply => Ok(reply),
+        Ok(started)
+    }
+
+    /// Read the reply to a frame sent at `started`.
+    fn reply(&mut self, started: Instant) -> Result<Frame, ProtoError> {
+        let deadline = self.deadline;
+        let mut keep_waiting = || deadline.is_none_or(|limit| started.elapsed() < limit);
+        match Frame::read_from(&mut self.stream, &mut keep_waiting) {
+            Ok(Frame::Error { message }) => Err(ProtoError::Remote(message)),
+            Ok(Frame::SessionFailed(failure)) => Err(ProtoError::Failed(failure)),
+            Ok(reply) => Ok(reply),
+            Err(ProtoError::ShuttingDown) => match deadline {
+                Some(limit) => Err(ProtoError::DeadlineExceeded { limit }),
+                None => Err(ProtoError::ShuttingDown),
+            },
+            Err(e) => Err(e),
         }
     }
 
@@ -110,47 +178,34 @@ impl Client {
         self.session
     }
 
-    /// Send one batch, retrying `Busy` refusals with backoff. With a
-    /// [`Client::with_deadline`] set, the whole retry loop is additionally
-    /// bounded by total wall clock.
+    /// Send one batch and wait until the server has logged and analysed
+    /// it.
     pub fn send_events(&mut self, batch: &[TraceEvent]) -> Result<(), ProtoError> {
+        let sent = self.post_events(batch)?;
+        self.await_ack(sent)
+    }
+
+    /// Send one batch without waiting for its ack ([`Client::await_ack`]).
+    fn post_events(&mut self, batch: &[TraceEvent]) -> Result<Option<Posted>, ProtoError> {
         if batch.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
         // One root context per batch; the client records its own
-        // `client_submit` span at exactly those ids, so a `Busy` retry
-        // loop shows up as one long span, not N.
+        // `client_submit` span at exactly those ids.
         let ctx = self.tracer.is_enabled().then(SpanContext::new_root);
         let span =
             ctx.map(|c| self.tracer.span_at(self.tracer.span_name("client_submit"), c));
-        let result = self.send_events_with(batch, ctx);
-        drop(span);
-        result
+        let started = self.send(&Frame::Events { events: batch.to_vec(), ctx })?;
+        Ok(Some(Posted { started, _span: span }))
     }
 
-    fn send_events_with(
-        &mut self,
-        batch: &[TraceEvent],
-        ctx: Option<SpanContext>,
-    ) -> Result<(), ProtoError> {
-        let started = std::time::Instant::now();
-        let mut backoff = Duration::from_millis(1);
-        for _ in 0..Self::MAX_BUSY_RETRIES {
-            if let Some(limit) = self.deadline {
-                if started.elapsed() > limit {
-                    return Err(ProtoError::DeadlineExceeded { limit });
-                }
-            }
-            match self.call(&Frame::Events { events: batch.to_vec(), ctx })? {
-                Frame::EventsAck { .. } => return Ok(()),
-                Frame::Busy { .. } => {
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(50));
-                }
-                _ => return Err(ProtoError::Unexpected("wanted EventsAck or Busy")),
-            }
+    /// Wait for the ack of a batch sent by [`Client::post_events`].
+    fn await_ack(&mut self, posted: Option<Posted>) -> Result<(), ProtoError> {
+        let Some(posted) = posted else { return Ok(()) };
+        match self.reply(posted.started)? {
+            Frame::EventsAck { .. } => Ok(()),
+            _ => Err(ProtoError::Unexpected("wanted EventsAck")),
         }
-        Err(ProtoError::Overloaded)
     }
 
     /// Close the session and collect its reports.
@@ -177,9 +232,20 @@ impl Client {
         chunk: usize,
     ) -> Result<Vec<Report>, ProtoError> {
         self.hello()?;
+        // One batch ahead: while the server analyses a batch, the next one
+        // already waits in its socket buffer, so encoding it and the round
+        // trip overlap the analysis.
+        let mut ahead = None;
         for batch in events.chunks(chunk.max(1)) {
-            self.send_events(batch)?;
+            let posted = self.post_events(batch)?;
+            if let Err(e) = self.await_ack(std::mem::replace(&mut ahead, posted)) {
+                // Read the answer to the batch already sent, so the stream
+                // stays in step for whatever the caller sends next.
+                let _ = self.await_ack(ahead);
+                return Err(e);
+            }
         }
+        self.await_ack(ahead)?;
         self.finish()
     }
 

@@ -4,8 +4,8 @@
 //! program *did*; this crate moves the expensive half — VSM state
 //! tracking and race detection — out of the monitored process entirely.
 //! Clients stream serialized [`TraceEvent`](arbalest_offload::trace::TraceEvent)
-//! batches over TCP or a Unix-domain socket; the server shards sessions
-//! across analysis worker threads and streams back the same
+//! batches over TCP or a Unix-domain socket; each connection's thread
+//! analyses its own session and streams back the same
 //! [`Report`](arbalest_offload::report::Report)s an in-process
 //! [`arbalest_core::replay`] would produce — byte-identical, because both
 //! paths drive the same detector over the same event values.
@@ -14,13 +14,14 @@
 //!
 //! * [`proto`] — framed wire protocol (length-prefixed, versioned,
 //!   std-only) shared by client and server.
-//! * [`shard`] — bounded worker queues owning per-session detector state,
-//!   run under watchdog supervision with per-session resource budgets.
-//! * [`supervise`] — typed session-failure reasons and the watchdog /
+//! * `session` — a connection's session: WAL append, analysis under a
+//!   panic guard and a per-session budget, snapshots, resume from disk,
+//!   and the gate that bounds how many sessions are analysed at once.
+//! * [`supervise`] — typed session-failure reasons and the panic-guard /
 //!   resource-governor metrics.
 //! * [`stats`] — global counters behind the `Stats` frame.
 //! * [`server`] — listeners, connection hardening (idle reaper, request
-//!   deadlines, frame/inflight limits), graceful drain.
+//!   deadlines, frame limit), graceful drain.
 //! * [`tracesink`] — per-session causal-span collection behind
 //!   `--trace-dir` and the `TraceSnapshot` admin frame.
 //! * [`client`] — the client library used by `arbalest submit` and tests.
@@ -29,9 +30,9 @@
 
 pub mod client;
 pub mod proto;
-pub mod shard;
-pub mod stats;
 pub mod server;
+mod session;
+pub mod stats;
 pub mod supervise;
 pub mod tracesink;
 

@@ -15,9 +15,9 @@
 //! primitives, so the event and report layouts are shared with trace
 //! files. A session opens with `Hello` (which carries the wire version —
 //! mismatches fail fast with a typed error), streams `Events` batches —
-//! each acknowledged with `EventsAck`, or refused with `Busy` when the
-//! session's shard queue is full — and closes with `Finish`, answered by
-//! `Reports`. `Stats`, `Metrics`, and `Shutdown` are admin frames any
+//! each acknowledged with `EventsAck` once the server has logged and
+//! analysed it — and closes with `Finish`, answered by `Reports`. `Stats`,
+//! `Metrics`, `TraceSnapshot` and `Shutdown` are admin frames any
 //! connection may send.
 
 use crate::supervise::SessionFailure;
@@ -27,7 +27,11 @@ use arbalest_offload::wire::{self, Cursor, WireError, REPORT_KIND_COUNT};
 use arbalest_obs::{SpanContext, SpanEvent};
 use std::io::{Read, Write};
 
-pub use arbalest_offload::wire::WIRE_VERSION;
+/// Version of the service protocol: the frame set and every payload,
+/// the event and report layouts included. `Hello` carries it, and a
+/// mismatch is refused before anything else is read. Version 2 retired
+/// `Busy` and dropped the busy count and queue depths from `StatsReply`.
+pub const WIRE_VERSION: u16 = 2;
 
 /// Hard ceiling on one frame's length field (type byte + payload). A
 /// server may enforce a *lower* per-instance limit via
@@ -50,9 +54,6 @@ pub enum ProtoError {
     /// The server terminated the session for a typed reason (shard panic,
     /// budget, idle reap, request deadline).
     Failed(SessionFailure),
-    /// The server refused an event batch repeatedly; its queue stayed
-    /// full past the client's retry budget.
-    Overloaded,
     /// The client-side total deadline elapsed before the operation
     /// completed (see `Client::with_deadline`).
     DeadlineExceeded {
@@ -71,7 +72,6 @@ impl std::fmt::Display for ProtoError {
             ProtoError::Unexpected(what) => write!(f, "unexpected frame: {what}"),
             ProtoError::Remote(msg) => write!(f, "server error: {msg}"),
             ProtoError::Failed(failure) => write!(f, "session failed: {failure}"),
-            ProtoError::Overloaded => write!(f, "server stayed busy past the retry budget"),
             ProtoError::DeadlineExceeded { limit } => {
                 write!(f, "client deadline of {limit:?} exceeded")
             }
@@ -101,16 +101,12 @@ pub struct StatsSnapshot {
     pub sessions_started: u64,
     /// Sessions that reached `Finish`.
     pub sessions_finished: u64,
-    /// Events accepted into shard queues.
+    /// Events logged and fed to a session's detector.
     pub events_received: u64,
-    /// `Events` frames answered with `Busy`.
-    pub busy_rejections: u64,
     /// Reports produced by finished sessions, indexed by
     /// [`wire::report_kind_tag`] (UUM, USD, BO, race, uninit, heap-BO,
     /// UAF).
     pub reports_by_kind: [u64; REPORT_KIND_COUNT],
-    /// Current depth of each shard's job queue.
-    pub queue_depths: Vec<u32>,
     /// Events fed so far to the *requesting* connection's session (0 when
     /// the connection has no open session).
     pub session_events: u64,
@@ -128,17 +124,12 @@ impl StatsSnapshot {
             self.sessions_started,
             self.sessions_finished,
             self.events_received,
-            self.busy_rejections,
             self.session_events,
         ] {
             out.extend_from_slice(&v.to_le_bytes());
         }
         for v in self.reports_by_kind {
             out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.queue_depths.len() as u32).to_le_bytes());
-        for d in &self.queue_depths {
-            out.extend_from_slice(&d.to_le_bytes());
         }
         out
     }
@@ -148,17 +139,11 @@ impl StatsSnapshot {
             sessions_started: cur.u64()?,
             sessions_finished: cur.u64()?,
             events_received: cur.u64()?,
-            busy_rejections: cur.u64()?,
             session_events: cur.u64()?,
             ..Default::default()
         };
         for slot in s.reports_by_kind.iter_mut() {
             *slot = cur.u64()?;
-        }
-        let n = cur.count("queue depths")?;
-        s.queue_depths = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            s.queue_depths.push(cur.u32()?);
         }
         Ok(s)
     }
@@ -179,7 +164,7 @@ pub enum Frame {
     /// Client → server: a batch of trace events for the open session.
     /// Optionally stamped with the client's [`SpanContext`] for the
     /// submit (a tag byte after the batch, then the context when the tag
-    /// is 1), so server-side work (shard job, WAL append, detector feed)
+    /// is 1), so server-side work (WAL append, shard job, detector feed)
     /// joins the client's causal trace tree.
     Events {
         /// The trace events.
@@ -191,7 +176,7 @@ pub enum Frame {
     Finish,
     /// Client → server: request counters.
     Stats,
-    /// Client → server: drain all queues and stop the server.
+    /// Client → server: stop the server once in-flight requests finish.
     Shutdown,
     /// Client → server: request the full metrics registry rendered as
     /// Prometheus text exposition format.
@@ -203,20 +188,15 @@ pub enum Frame {
     HelloAck {
         /// Server's wire version.
         version: u16,
-        /// Number of analysis shards.
+        /// How many sessions the server analyses at once.
         shards: u16,
         /// Assigned session id.
         session: u64,
     },
-    /// Server → client: batch accepted into the shard queue.
+    /// Server → client: batch logged and analysed.
     EventsAck {
         /// Number of events accepted.
         accepted: u32,
-    },
-    /// Server → client: shard queue full — retry the batch later.
-    Busy {
-        /// Depth of the refusing queue at rejection time.
-        queue_depth: u32,
     },
     /// Server → client: the finished session's findings.
     Reports(Vec<Report>),
@@ -243,6 +223,11 @@ pub enum Frame {
 }
 
 impl Frame {
+    /// A [`Frame::Error`] carrying `message`.
+    pub(crate) fn error(message: impl Into<String>) -> Frame {
+        Frame::Error { message: message.into() }
+    }
+
     fn type_byte(&self) -> u8 {
         match self {
             Frame::Hello { .. } => 0x01,
@@ -254,7 +239,6 @@ impl Frame {
             Frame::TraceSnapshot => 0x09,
             Frame::HelloAck { .. } => 0x81,
             Frame::EventsAck { .. } => 0x82,
-            Frame::Busy { .. } => 0x83,
             Frame::Reports(_) => 0x84,
             Frame::StatsReply(_) => 0x85,
             Frame::Ok => 0x86,
@@ -278,7 +262,6 @@ impl Frame {
             Frame::TraceSnapshot => "trace_snapshot",
             Frame::HelloAck { .. } => "hello_ack",
             Frame::EventsAck { .. } => "events_ack",
-            Frame::Busy { .. } => "busy",
             Frame::Reports(_) => "reports",
             Frame::StatsReply(_) => "stats_reply",
             Frame::Ok => "ok",
@@ -327,7 +310,6 @@ impl Frame {
                 out
             }
             Frame::EventsAck { accepted } => accepted.to_le_bytes().to_vec(),
-            Frame::Busy { queue_depth } => queue_depth.to_le_bytes().to_vec(),
             Frame::Reports(reports) => wire::encode_reports(reports),
             Frame::StatsReply(s) => s.encode(),
             Frame::Error { message } => {
@@ -381,7 +363,6 @@ impl Frame {
             0x09 => Frame::TraceSnapshot,
             0x81 => Frame::HelloAck { version: cur.u16()?, shards: cur.u16()?, session: cur.u64()? },
             0x82 => Frame::EventsAck { accepted: cur.u32()? },
-            0x83 => Frame::Busy { queue_depth: cur.u32()? },
             0x84 => Frame::Reports(wire::decode_reports(&mut cur)?),
             0x85 => Frame::StatsReply(StatsSnapshot::decode(&mut cur)?),
             0x86 => Frame::Ok,
@@ -549,7 +530,6 @@ mod tests {
             Frame::Metrics,
             Frame::HelloAck { version: 1, shards: 4, session: 99 },
             Frame::EventsAck { accepted: 512 },
-            Frame::Busy { queue_depth: 7 },
             Frame::Ok,
             Frame::Error { message: "no session open".into() },
             Frame::MetricsReply("# TYPE arbalest_server_events_received_total counter\n".into()),
@@ -611,9 +591,7 @@ mod tests {
             sessions_started: 10,
             sessions_finished: 8,
             events_received: 12345,
-            busy_rejections: 3,
             reports_by_kind: [1, 2, 3, 4, 5, 6, 7],
-            queue_depths: vec![0, 2, 5],
             session_events: 77,
         };
         assert_eq!(snap.sessions_active(), 2);

@@ -2,28 +2,27 @@
 //! lifecycle.
 //!
 //! One thread accepts connections (TCP or Unix-domain); each connection
-//! gets a handler thread that speaks the frame protocol and routes work
-//! into the [`ShardPool`]. Nothing on the path from a request to its
-//! answer sleeps or polls: the accept blocks, and each read waits at most
-//! the time left on its idle or request-deadline clock.
+//! gets a handler thread that speaks the frame protocol and owns its
+//! session: it logs, analyses and acknowledges each batch itself, and
+//! answers `Finish` itself. Nothing on the path from a request to its
+//! answer sleeps or polls: the accept blocks, each read waits at most the
+//! time left on its idle or request-deadline clock, and a batch waits
+//! only for a free analysis slot.
 //!
 //! Shutdown is graceful by construction. The `Shutdown` frame (or
 //! [`Server::stop`]) sets the stop flag, wakes the blocking accept with
 //! one self-connect that is never served, and cuts every handler's read
 //! short with `shutdown(Read)` on a stream clone registered at accept
-//! time. The last handler out signals a condvar, and then the shard
-//! queues drain to completion before the workers exit.
+//! time. A handler finishes the request it is serving, and the last one
+//! out signals a condvar.
 
 use crate::proto::{Frame, ProtoError, WIRE_VERSION};
-use crate::shard::ShardPool;
-use crate::stats::GlobalStats;
-use crate::tracesink::TraceSink;
+use crate::session::{Analysis, Session};
 use arbalest_core::ArbalestConfig;
 use arbalest_obs::{Counter, Registry};
-use arbalest_store::{SessionLog, Store};
 use arbalest_sync::{Condvar, Mutex};
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -68,21 +67,20 @@ impl std::fmt::Display for ListenAddr {
 /// Tuning knobs for a server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of analysis worker shards (clamped to 1..=64).
+    /// How many sessions are analysed at once (clamped to 1..=64). Each
+    /// batch, snapshot, recovery or finish holds one of these slots while
+    /// it runs, never a whole session.
     pub shards: usize,
-    /// Bound on each shard's queued event batches; beyond it, clients get
-    /// `Busy`.
-    pub queue_cap: usize,
     /// Detector configuration used for every session.
     pub detector: ArbalestConfig,
-    /// Metrics registry shared by the wire layer, shard pool, and every
+    /// Metrics registry shared by the wire layer, the sessions, and every
     /// session detector. Enabled by default; substitute
     /// [`Registry::disabled`] to run without instrumentation.
     pub metrics: Registry,
     /// How long shutdown waits for in-flight connections to finish before
-    /// abandoning them (the shard queues still drain afterwards). When the
-    /// deadline fires with handlers still active, the
-    /// `arbalest_server_forced_aborts_total` counter records it.
+    /// abandoning them. When the deadline fires with handlers still
+    /// active, the `arbalest_server_forced_aborts_total` counter records
+    /// it.
     pub drain_deadline: Duration,
     /// A connection that sends no frame for this long is reaped with a
     /// typed `SessionFailed(IdleTimeout)`; its session is aborted.
@@ -95,21 +93,19 @@ pub struct ServerConfig {
     /// [`MAX_FRAME`](crate::proto::MAX_FRAME)); larger announcements are
     /// refused before any allocation.
     pub max_frame: u32,
-    /// Cap on a session's queued-but-unanalysed events; batches beyond it
-    /// answer `Busy`. `0` disables the cap.
-    pub max_inflight_events: u64,
-    /// Per-session byte budget (detector side tables + event backlog).
-    /// First breach degrades the session via evict-to-May; an incurable
-    /// breach terminates it with `SessionFailed(BudgetExceeded)`. `0`
-    /// disables the governor.
+    /// Per-session byte budget over the detector's side tables. First
+    /// breach degrades the session via evict-to-May; an incurable breach
+    /// terminates it with `SessionFailed(BudgetExceeded)`. `0` disables
+    /// the governor.
     pub max_session_bytes: u64,
-    /// Worker-side fault injection (shard panics, synthetic budget
-    /// pressure) for chaos soaks. Disabled by default.
+    /// Analysis fault injection (panics, synthetic budget pressure) for
+    /// chaos soaks. Disabled by default.
     pub faults: arbalest_offload::fault::FaultConfig,
     /// Durable-session data directory. `Some` turns on write-ahead
     /// logging of every accepted batch, snapshot/compaction per the
-    /// `store` triggers, and crash recovery of unfinished sessions at
-    /// startup. `None` (default) keeps the pre-durability behaviour.
+    /// `store` triggers, and `Hello { resume }`, which rebuilds an
+    /// unfinished session from disk. `None` (default) keeps the
+    /// pre-durability behaviour.
     pub data_dir: Option<PathBuf>,
     /// Durability tuning (segment size, fsync policy, snapshot triggers,
     /// storage fault injection); only read when `data_dir` is set.
@@ -126,14 +122,12 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             shards: 4,
-            queue_cap: 128,
             detector: ArbalestConfig::default(),
             metrics: Registry::new(),
             drain_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(120),
             request_deadline: Duration::from_secs(30),
             max_frame: crate::proto::MAX_FRAME,
-            max_inflight_events: 0,
             max_session_bytes: 0,
             faults: arbalest_offload::fault::FaultConfig::disabled(),
             data_dir: None,
@@ -229,21 +223,9 @@ struct Shared {
     /// Signalled when stop is requested and when the last connection
     /// leaves `conns`.
     conns_changed: Condvar,
-    stats: Arc<GlobalStats>,
-    registry: Registry,
+    /// What every connection's session shares.
+    analysis: Analysis,
     wire_metrics: WireMetrics,
-    /// Durable-session store; `None` when `data_dir` is unset.
-    store: Option<Arc<Store>>,
-    /// Detector configuration, needed to recover sessions that have no
-    /// snapshot yet.
-    detector: ArbalestConfig,
-    /// Sessions currently bound to a live connection. Resuming one of
-    /// these is refused — two writers on one WAL would interleave.
-    attached: Mutex<HashSet<u64>>,
-    /// Where completed trace spans are collected (per session + recent).
-    sink: Arc<TraceSink>,
-    /// Per-session trace file output directory, when configured.
-    trace_dir: Option<PathBuf>,
     /// Connection-hardening knobs, copied out of the `ServerConfig`.
     idle_timeout: Duration,
     request_deadline: Duration,
@@ -395,10 +377,9 @@ fn wake_accept(addr: &ListenAddr) -> bool {
 }
 
 /// A running server. [`Server::stop`] (or drop) performs the graceful
-/// drain: stop accepting, let handlers finish, drain shard queues, join.
+/// drain: stop accepting, let handlers finish their requests, join.
 pub struct Server {
     shared: Arc<Shared>,
-    pool: Arc<ShardPool>,
     accept_thread: Option<JoinHandle<()>>,
     unix_path: Option<PathBuf>,
     drain_deadline: Duration,
@@ -428,33 +409,18 @@ impl Server {
             }
         };
 
-        let registry = cfg.metrics.clone();
-        let stats = Arc::new(GlobalStats::new(&registry));
-        let store = match &cfg.data_dir {
-            Some(dir) => Some(Arc::new(
-                Store::open(dir, cfg.store.clone(), &registry)
-                    .map_err(|e| std::io::Error::other(format!("open {}: {e}", dir.display())))?,
-            )),
-            None => None,
-        };
+        let analysis = Analysis::new(&cfg)?;
+        let registry = &analysis.registry;
         let reaped = |reason| {
             registry.counter("arbalest_server_connections_reaped_total", &[("reason", reason)])
         };
-        let sink = Arc::new(TraceSink::new(&registry));
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             accept_woken: OnceLock::new(),
             local_addr,
             conns: Mutex::new(HashMap::new()),
             conns_changed: Condvar::new(),
-            stats: stats.clone(),
-            wire_metrics: WireMetrics::new(&registry),
-            registry: registry.clone(),
-            store: store.clone(),
-            detector: cfg.detector.clone(),
-            attached: Mutex::new(HashSet::new()),
-            sink: sink.clone(),
-            trace_dir: cfg.trace_dir.clone(),
+            wire_metrics: WireMetrics::new(registry),
             idle_timeout: cfg.idle_timeout,
             request_deadline: cfg.request_deadline,
             max_frame: cfg.max_frame,
@@ -462,67 +428,16 @@ impl Server {
             forced_aborts: registry.counter("arbalest_server_forced_aborts_total", &[]),
             reaped_idle: reaped("idle"),
             reaped_deadline: reaped("deadline"),
+            analysis,
         });
-        let pool = Arc::new(ShardPool::new(
-            cfg.shards,
-            cfg.queue_cap,
-            cfg.detector.clone(),
-            stats,
-            &registry,
-            crate::shard::ShardLimits {
-                max_session_bytes: cfg.max_session_bytes,
-                max_inflight_events: cfg.max_inflight_events,
-                faults: cfg.faults,
-            },
-            store.clone(),
-            sink.clone(),
-        ));
-
-        // Crash recovery: every session directory is an unfinished session.
-        // Rebuild each from snapshot + WAL tail and adopt it into the pool
-        // so a resuming client (`Hello { resume }`) finds it live. A
-        // session that fails to recover is left on disk for inspection and
-        // counted; it never becomes wrong in-memory state. The whole pass
-        // is one `server_recovery` trace with an `adopt_session` child per
-        // recovered session, so a startup stall is attributable.
-        if let Some(store) = &store {
-            let recovery_span = registry.span(registry.span_name("server_recovery"));
-            let recovery_ctx = recovery_span.context();
-            let recovered = store
-                .recover_all(&cfg.detector, &registry)
-                .map_err(|e| std::io::Error::other(format!("recover sessions: {e}")))?;
-            for (id, result) in recovered {
-                match result {
-                    Ok(rec) => {
-                        let adopt =
-                            registry.span_child(registry.span_name("adopt_session"), recovery_ctx);
-                        pool.adopt_session(id, rec.session);
-                        if let Some(ev) = adopt.end() {
-                            sink.record(id, ev);
-                        }
-                    }
-                    Err(e) => registry
-                        .counter(
-                            "arbalest_store_recovery_failures_total",
-                            &[("error", e.label())],
-                        )
-                        .inc(),
-                }
-            }
-            if let Some(ev) = recovery_span.end() {
-                sink.record_global(ev);
-            }
-        }
 
         let accept_shared = shared.clone();
-        let accept_pool = pool.clone();
         let accept_thread = std::thread::Builder::new()
             .name("arbalest-accept".into())
-            .spawn(move || accept_loop(listener, &accept_shared, &accept_pool))?;
+            .spawn(move || accept_loop(listener, &accept_shared))?;
 
         Ok(Server {
             shared,
-            pool,
             accept_thread: Some(accept_thread),
             unix_path,
             drain_deadline: cfg.drain_deadline,
@@ -542,8 +457,8 @@ impl Server {
         }
     }
 
-    /// Stop accepting, wake every handler, drain the shard queues, and
-    /// join all threads.
+    /// Stop accepting, wake every handler, let each finish the request it
+    /// is serving, and join the accept thread.
     pub fn stop(self) {
         drop(self);
     }
@@ -559,23 +474,21 @@ impl Server {
             }
         }
         // Stop cut every handler's read short; wait for the last one to
-        // leave, so no one touches the pool afterwards.
+        // leave.
         let deadline = Instant::now() + self.drain_deadline;
         let mut conns = self.shared.conns.lock();
         while !conns.is_empty() {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                // The drain deadline fired with handlers (and possibly
-                // their queued jobs) still in flight: record the forced
-                // abort so operators can tell "clean drain" from "gave up
-                // waiting".
+                // The drain deadline fired with handlers still in flight:
+                // record the forced abort so operators can tell "clean
+                // drain" from "gave up waiting".
                 self.shared.forced_aborts.inc();
                 break;
             }
             self.shared.conns_changed.wait_for(&mut conns, left);
         }
         drop(conns);
-        self.pool.shutdown();
         if let Some(path) = self.unix_path.take() {
             let _ = std::fs::remove_file(path);
         }
@@ -588,7 +501,7 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: Listener, shared: &Arc<Shared>, pool: &Arc<ShardPool>) {
+fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
     const MIN_BACKOFF: Duration = Duration::from_millis(20);
     const MAX_BACKOFF: Duration = Duration::from_secs(1);
     // Real accept errors (fd exhaustion, aborted handshakes in a storm)
@@ -617,9 +530,8 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>, pool: &Arc<ShardPool>) 
         conns.insert(id, clone);
         drop(conns);
         let conn_shared = shared.clone();
-        let conn_pool = pool.clone();
         let spawned = std::thread::Builder::new().name("arbalest-conn".into()).spawn(move || {
-            handle_connection(stream, &conn_shared, &conn_pool);
+            handle_connection(stream, &conn_shared);
             conn_shared.deregister(id);
         });
         if spawned.is_err() {
@@ -634,35 +546,9 @@ enum ReapReason {
     Deadline,
 }
 
-/// Rebuild a resumed session's state on a durable server. Disk is the
-/// authority: drop any in-memory state and re-derive it from snapshot +
-/// WAL so the append point and the analyzer agree exactly.
-fn resume_session(
-    store: &Store,
-    shared: &Shared,
-    pool: &ShardPool,
-    id: u64,
-) -> Result<(u64, SessionLog), String> {
-    if !store.session_dir(id).exists() {
-        return Err(format!("unknown session {id}"));
-    }
-    pool.drop_session(id);
-    let rec = store
-        .recover_session(id, &shared.detector, &shared.registry)
-        .map_err(|e| format!("recover session {id}: {e}"))?;
-    let events = rec.events;
-    pool.adopt_session(id, rec.session);
-    let log = store
-        .open_log(id, events)
-        .map_err(|e| format!("open WAL for session {id}: {e}"))?;
-    Ok((events, log))
-}
-
-fn handle_connection(mut stream: Stream, shared: &Arc<Shared>, pool: &Arc<ShardPool>) {
-    let mut session: Option<u64> = None;
-    let mut session_events: u64 = 0;
-    // WAL append handle for the connection's session (durable mode only).
-    let mut log: Option<SessionLog> = None;
+fn handle_connection(mut stream: Stream, shared: &Shared) {
+    let a = &shared.analysis;
+    let mut session: Option<Session> = None;
 
     loop {
         // Each read waits at most the time left on the frame's idle or
@@ -719,204 +605,54 @@ fn handle_connection(mut stream: Stream, shared: &Arc<Shared>, pool: &Arc<ShardP
                 // (WireError::Truncated); the reply write fails silently
                 // because the peer is already gone.
                 if let ProtoError::Wire(we) = &e {
-                    shared
-                        .registry
+                    a.registry
                         .counter("arbalest_server_decode_errors_total", &[("error", we.label())])
                         .inc();
                 }
-                let _ = Frame::Error { message: e.to_string() }.write_to(&mut stream);
+                let _ = Frame::error(e.to_string()).write_to(&mut stream);
                 break;
             }
         };
         shared.wire_metrics.count_frame(&frame);
 
-        let outcome: Result<Frame, String> = match frame {
+        let reply = match frame {
             Frame::Hello { version, resume } => {
                 if version != WIRE_VERSION {
-                    Err(format!("wire version {version} not supported (server speaks {WIRE_VERSION})"))
+                    Frame::error(format!(
+                        "wire version {version} not supported (server speaks {WIRE_VERSION})"
+                    ))
                 } else if session.is_some() {
-                    Err("session already open on this connection".into())
+                    Frame::error("session already open on this connection")
                 } else if shared.stopping() {
-                    Err("server is shutting down".into())
+                    Frame::error("server is shutting down")
                 } else {
-                    match (resume, &shared.store) {
-                        (None, _) => {
-                            let id = pool.open_session();
-                            // Before acking, make sure the WAL is
-                            // writable: an event acked without a durable
-                            // home would be a silent durability hole.
-                            let opened = match &shared.store {
-                                Some(store) => store
-                                    .open_log(id, 0)
-                                    .map(Some)
-                                    .map_err(|e| format!("open WAL for session {id}: {e}")),
-                                None => Ok(None),
+                    match a.open(resume) {
+                        Ok(opened) => {
+                            let ack = Frame::HelloAck {
+                                version: WIRE_VERSION,
+                                shards: a.width() as u16,
+                                session: opened.id,
                             };
-                            match opened {
-                                Ok(l) => {
-                                    shared.attached.lock().insert(id);
-                                    session = Some(id);
-                                    session_events = 0;
-                                    log = l;
-                                    Ok(Frame::HelloAck {
-                                        version: WIRE_VERSION,
-                                        shards: pool.shards() as u16,
-                                        session: id,
-                                    })
-                                }
-                                Err(message) => Err(message),
-                            }
+                            session = Some(opened);
+                            ack
                         }
-                        // Without a data directory a dropped session is
-                        // gone (its `Abort` may still be queued), so there
-                        // is nothing sound to attach to.
-                        (Some(id), None) => Err(format!(
-                            "cannot resume session {id}: resuming needs a durable server \
-                             (serve --data-dir)"
-                        )),
-                        // Two connections on one session would interleave
-                        // WAL appends; first writer wins.
-                        (Some(id), Some(_)) if !shared.attached.lock().insert(id) => {
-                            Err(format!("session {id} is attached to another connection"))
-                        }
-                        (Some(id), Some(store)) => match resume_session(store, shared, pool, id) {
-                            Ok((events, l)) => {
-                                session = Some(id);
-                                session_events = events;
-                                log = Some(l);
-                                Ok(Frame::HelloAck {
-                                    version: WIRE_VERSION,
-                                    shards: pool.shards() as u16,
-                                    session: id,
-                                })
-                            }
-                            Err(message) => {
-                                shared.attached.lock().remove(&id);
-                                Err(message)
-                            }
-                        },
+                        Err(refusal) => refusal,
                     }
                 }
             }
-            Frame::Events { events, ctx } => match session {
-                None => Err("Events before Hello".into()),
-                Some(id) => {
-                    // A quarantined session (shard panic, budget) answers
-                    // the typed failure instead of silently eating events.
-                    if let Some(failure) = pool.session_failure(id) {
-                        Ok(Frame::SessionFailed(failure))
-                    } else {
-                        // A traced batch: re-record the client-minted
-                        // context verbatim (`span_at`) as the
-                        // `client_submit` root of the server-side tree, so
-                        // the WAL append and the shard job parent to the
-                        // exact ids the client stamped on the wire.
-                        let root = ctx.filter(|c| c.is_traced());
-                        let submit_span = root.map(|c| {
-                            shared.registry.span_at(shared.registry.span_name("client_submit"), c)
-                        });
-                        // Clone for the WAL before the pool consumes the
-                        // batch; only durable sessions pay the copy. The
-                        // pool goes first so a `Busy` refusal logs
-                        // nothing; the ack waits for the append, so a
-                        // crash can only lose *unacked* batches.
-                        let copy = log.as_ref().map(|_| events.clone());
-                        let outcome = match pool.submit_events(id, events, root) {
-                            Ok(accepted) => {
-                                session_events += accepted as u64;
-                                let appended = match (log.as_mut(), copy) {
-                                    (Some(l), Some(batch)) => {
-                                        let wal_span = root.map(|c| {
-                                            shared.registry.span_child(
-                                                shared.registry.span_name("wal_append"),
-                                                c,
-                                            )
-                                        });
-                                        let appended = l.append(&batch).map(|()| {
-                                            if l.snapshot_due() {
-                                                pool.submit_snapshot(id, root);
-                                                l.mark_snapshot();
-                                            }
-                                        });
-                                        if let Some(ev) = wal_span.and_then(|s| s.end()) {
-                                            shared.sink.record(id, ev);
-                                        }
-                                        appended
-                                    }
-                                    _ => Ok(()),
-                                };
-                                match appended {
-                                    Ok(()) => Ok(Frame::EventsAck { accepted: accepted as u32 }),
-                                    // The batch reached the analyzer but
-                                    // not the log: never ack what a crash
-                                    // could lose. The client resubmits it
-                                    // after resuming.
-                                    Err(e) => Err(format!("WAL append failed: {e}")),
-                                }
-                            }
-                            Err(full) => Ok(Frame::Busy { queue_depth: full.depth }),
-                        };
-                        if let Some(ev) = submit_span.and_then(|s| s.end()) {
-                            shared.sink.record(id, ev);
-                        }
-                        outcome
-                    }
-                }
+            Frame::Events { events, ctx } => match session.as_mut() {
+                None => Frame::error("Events before Hello"),
+                Some(s) => s.feed(a, &events, ctx),
             },
             Frame::Finish => match session.take() {
-                None => Err("Finish before Hello".into()),
-                Some(id) => {
-                    let result = match pool.submit_finish(id).recv() {
-                        Ok(r) => Ok(r),
-                        // The worker died mid-Finish (reply sender dropped
-                        // by the unwind). The supervisor has already
-                        // quarantined the session and restarted the worker
-                        // — ask again for the typed reason.
-                        Err(_) => pool.submit_finish(id).recv(),
-                    };
-                    shared.attached.lock().remove(&id);
-                    log = None;
-                    match result {
-                        Ok(Ok(reports)) => {
-                            // Clean finish: the durable record has served
-                            // its purpose.
-                            if let Some(store) = &shared.store {
-                                let _ = store.remove_session(id);
-                            }
-                            // By FIFO the worker finished every traced
-                            // batch before answering Finish, so the
-                            // session's span tree is complete: write it
-                            // out (if a trace dir is configured) and free
-                            // the buffer either way.
-                            let spans = shared.sink.take_session(id);
-                            if let Some(dir) = &shared.trace_dir {
-                                if !spans.is_empty() {
-                                    let _ = std::fs::create_dir_all(dir);
-                                    let _ = std::fs::write(
-                                        dir.join(format!("session-{id}.json")),
-                                        arbalest_obs::chrome_trace_json(&spans),
-                                    );
-                                }
-                            }
-                            Ok(Frame::Reports(reports))
-                        }
-                        Ok(Err(failure)) => {
-                            shared.sink.drop_session(id);
-                            Ok(Frame::SessionFailed(failure))
-                        }
-                        Err(_) => Err("analysis shard terminated".into()),
-                    }
-                }
+                None => Frame::error("Finish before Hello"),
+                Some(s) => s.finish(a),
             },
-            Frame::Stats => Ok(Frame::StatsReply(
-                shared.stats.snapshot(pool.queue_depths(), session_events),
-            )),
-            Frame::Metrics => {
-                // Refresh the queue-depth gauges so the export is current.
-                let _ = pool.queue_depths();
-                Ok(Frame::MetricsReply(shared.registry.snapshot().to_prometheus()))
+            Frame::Stats => {
+                Frame::StatsReply(a.stats.snapshot(session.as_ref().map_or(0, |s| s.events)))
             }
-            Frame::TraceSnapshot => Ok(Frame::TraceSnapshotReply(shared.sink.recent())),
+            Frame::Metrics => Frame::MetricsReply(a.registry.snapshot().to_prometheus()),
+            Frame::TraceSnapshot => Frame::TraceSnapshotReply(a.sink.recent()),
             Frame::Shutdown => {
                 let _ = Frame::Ok.write_to(&mut stream);
                 shared.request_stop();
@@ -926,36 +662,23 @@ fn handle_connection(mut stream: Stream, shared: &Arc<Shared>, pool: &Arc<ShardP
             // violation.
             Frame::HelloAck { .. }
             | Frame::EventsAck { .. }
-            | Frame::Busy { .. }
             | Frame::Reports(_)
             | Frame::StatsReply(_)
             | Frame::Ok
             | Frame::Error { .. }
             | Frame::MetricsReply(_)
             | Frame::SessionFailed(_)
-            | Frame::TraceSnapshotReply(_) => Err("client sent a server-role frame".into()),
-        };
-
-        let reply = match outcome {
-            Ok(f) => f,
-            Err(message) => Frame::Error { message },
+            | Frame::TraceSnapshotReply(_) => Frame::error("client sent a server-role frame"),
         };
         if reply.write_to(&mut stream).is_err() {
             break;
         }
     }
 
-    // A disconnect leaves acked WAL bytes durable (the resume point) even
-    // under a lazy fsync policy.
-    if let Some(mut l) = log.take() {
-        let _ = l.sync();
-    }
     // A session abandoned mid-stream must not leak detector state. Its
-    // durable record (if any) stays on disk: that is what `--resume` and
-    // startup recovery rebuild from.
-    if let Some(id) = session {
-        pool.submit_abort(id);
-        shared.attached.lock().remove(&id);
-        shared.sink.drop_session(id);
+    // durable record (if any) stays on disk: that is what `--resume`
+    // rebuilds from.
+    if let Some(s) = session {
+        s.abort(a);
     }
 }

@@ -10,17 +10,15 @@ use arbalest_obs::{Counter, Registry};
 use arbalest_offload::report::{Report, ReportKind};
 use arbalest_offload::wire::report_kind_tag;
 
-/// Monotonic counters shared by every connection and shard.
+/// Monotonic counters shared by every connection.
 #[derive(Debug)]
 pub struct GlobalStats {
-    /// Sessions opened (`Hello`).
+    /// Sessions opened (`Hello`, fresh or resumed).
     pub sessions_started: Counter,
     /// Sessions closed (`Finish` or abort).
     pub sessions_finished: Counter,
-    /// Events accepted into shard queues.
+    /// Events logged and fed to a session's detector.
     pub events_received: Counter,
-    /// Event batches refused with `Busy`.
-    pub busy_rejections: Counter,
     /// Reports from finished sessions, indexed by
     /// [`report_kind_tag`].
     pub reports_by_kind: Vec<Counter>,
@@ -35,7 +33,6 @@ impl GlobalStats {
             sessions_started: reg.counter("arbalest_server_sessions_started_total", &[]),
             sessions_finished: reg.counter("arbalest_server_sessions_finished_total", &[]),
             events_received: reg.counter("arbalest_server_events_received_total", &[]),
-            busy_rejections: reg.counter("arbalest_server_busy_rejections_total", &[]),
             reports_by_kind: ReportKind::ALL
                 .iter()
                 .map(|k| reg.counter("arbalest_server_reports_total", &[("kind", k.label())]))
@@ -50,16 +47,14 @@ impl GlobalStats {
         }
     }
 
-    /// Materialise a snapshot; `queue_depths` and `session_events` come
-    /// from the caller (pool state and connection state respectively).
-    pub fn snapshot(&self, queue_depths: Vec<u32>, session_events: u64) -> StatsSnapshot {
+    /// Materialise a snapshot; `session_events` comes from the requesting
+    /// connection's session.
+    pub fn snapshot(&self, session_events: u64) -> StatsSnapshot {
         StatsSnapshot {
             sessions_started: self.sessions_started.get(),
             sessions_finished: self.sessions_finished.get(),
             events_received: self.events_received.get(),
-            busy_rejections: self.busy_rejections.get(),
             reports_by_kind: std::array::from_fn(|i| self.reports_by_kind[i].get()),
-            queue_depths,
             session_events,
         }
     }

@@ -3,9 +3,9 @@
 //! PR 1 made the *offload runtime* fault-tolerant; this module does the
 //! same for the *service*: it defines the typed reasons a server may
 //! terminate a session ([`SessionFailure`] — carried on the wire by
-//! `Frame::SessionFailed`), and the observability handles for the shard
-//! watchdog (panic quarantine + worker restart) and the per-session
-//! resource governor (evict-to-May degradation, budget termination).
+//! `Frame::SessionFailed`), and the observability handles for the panic
+//! guard (quarantine) and the per-session resource governor (evict-to-May
+//! degradation, budget termination).
 //!
 //! The session lifecycle under supervision:
 //!
@@ -13,15 +13,15 @@
 //!            events                   budget breach          2nd breach /
 //!   Live ────────────▶ Live ────────────────────────▶ Degraded ─────────▶ Quarantined
 //!    │                                (evict-to-May)      │    panic          │
-//!    │ panic anywhere in the shard worker                 │ Finish            │ Finish/Events
+//!    │ panic anywhere in the session's analysis           │ Finish            │ Finish/Events
 //!    ▼                                                    ▼                   ▼
 //!   Quarantined(ShardPanic)                 SessionFailed(BudgetExceeded)  SessionFailed(..)
 //! ```
 //!
-//! A quarantined session's queued events are drained and dropped (counted,
-//! never analysed); every reply it would have received becomes the typed
-//! failure. Other sessions on the same shard are untouched — the worker
-//! thread is restarted with its queue intact.
+//! A quarantined session's later batches are refused and dropped
+//! (counted, never analysed); every reply it would have received becomes
+//! the typed failure. Other sessions are analysed on their own
+//! connections' threads and are untouched.
 
 use arbalest_obs::{Counter, Registry};
 use arbalest_offload::wire::{self, Cursor, WireError};
@@ -31,9 +31,8 @@ use arbalest_offload::wire::{self, Cursor, WireError};
 /// reason, not a free-form error string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionFailure {
-    /// The shard worker panicked while analysing this session's events.
-    /// The session was quarantined and the worker thread restarted; all
-    /// other sessions on the shard are unaffected.
+    /// The server panicked while analysing this session's events. The
+    /// session was quarantined; all other sessions are unaffected.
     ShardPanic {
         /// Panic payload, best effort (`Any` payloads render as a stub).
         message: String,
@@ -110,7 +109,7 @@ impl std::fmt::Display for SessionFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SessionFailure::ShardPanic { message } => {
-                write!(f, "analysis shard panicked ({message}); session quarantined")
+                write!(f, "session analysis panicked ({message}); session quarantined")
             }
             SessionFailure::BudgetExceeded { used_bytes, budget_bytes } => write!(
                 f,
@@ -126,13 +125,9 @@ impl std::fmt::Display for SessionFailure {
     }
 }
 
-/// Registry-backed counters for the watchdog and resource governor.
-/// Cloned into every shard worker; the cells are shared.
+/// Registry-backed counters for the panic guard and resource governor.
 #[derive(Debug, Clone)]
 pub struct SuperviseMetrics {
-    /// Shard worker threads restarted after an escaped panic
-    /// (`arbalest_server_shard_restarts_total`).
-    pub shard_restarts: Counter,
     /// Sessions quarantined, by reason
     /// (`arbalest_server_sessions_quarantined_total{reason}`).
     pub quarantined_panic: Counter,
@@ -141,7 +136,7 @@ pub struct SuperviseMetrics {
     /// Evict-to-May degradations performed by the governor
     /// (`arbalest_server_budget_evictions_total`).
     pub budget_evictions: Counter,
-    /// Events discarded because their session was already quarantined
+    /// Events refused because their session was already quarantined
     /// (`arbalest_server_quarantined_events_dropped_total`).
     pub events_dropped: Counter,
 }
@@ -150,7 +145,6 @@ impl SuperviseMetrics {
     /// Register the supervision counters in `reg`.
     pub fn new(reg: &Registry) -> SuperviseMetrics {
         SuperviseMetrics {
-            shard_restarts: reg.counter("arbalest_server_shard_restarts_total", &[]),
             quarantined_panic: reg
                 .counter("arbalest_server_sessions_quarantined_total", &[("reason", "panic")]),
             quarantined_budget: reg

@@ -1,32 +1,28 @@
 //! Collection point for the server's causal-trace spans.
 //!
-//! Connection handlers and shard workers both record completed
-//! [`SpanEvent`]s here, keyed by session, so a session's whole causal
+//! A connection's handler records each completed [`SpanEvent`] of its
+//! session into the session's own buffer, so the session's whole causal
 //! tree — `client_submit` roots, `wal_append` and `shard_job` children,
-//! `detector_feed` grandchildren — can be written out as one Chrome
-//! trace file when the session finishes. A bounded global ring of the
-//! most recent spans (any session) answers the `TraceSnapshot` admin
-//! frame.
+//! `detector_feed` grandchildren — can be written out as one Chrome trace
+//! file when the session finishes. A bounded ring of the most recent
+//! spans (any session) answers the `TraceSnapshot` admin frame.
 //!
 //! Both buffers are bounded: a session past [`SESSION_SPAN_CAP`] drops
 //! further spans (counted in
-//! `arbalest_server_trace_spans_dropped_total`), and the global ring
-//! overwrites its oldest entries. Tracing never grows server memory
-//! without bound, mirroring the queue-cap philosophy of the shard pool.
+//! `arbalest_server_trace_spans_dropped_total`), and the ring overwrites
+//! its oldest entries. Tracing never grows server memory without bound.
 
 use arbalest_obs::{Counter, Registry, SpanEvent};
 use arbalest_sync::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Spans kept per session before further ones are dropped (and counted).
 pub const SESSION_SPAN_CAP: usize = 4096;
 /// Most-recent spans kept for `TraceSnapshot`, across all sessions.
 pub const RECENT_SPAN_CAP: usize = 1024;
 
-/// Shared span collector: per-session bounded buffers plus a global
-/// most-recent ring.
+/// The most-recent ring, plus the drop counter of per-session buffers.
 pub struct TraceSink {
-    sessions: Mutex<HashMap<u64, Vec<SpanEvent>>>,
     recent: Mutex<VecDeque<SpanEvent>>,
     /// `arbalest_server_trace_spans_dropped_total`: spans refused by a
     /// full per-session buffer.
@@ -37,51 +33,24 @@ impl TraceSink {
     /// A sink whose drop counter records into `reg`.
     pub fn new(reg: &Registry) -> TraceSink {
         TraceSink {
-            sessions: Mutex::new(HashMap::new()),
             recent: Mutex::new(VecDeque::new()),
             dropped: reg.counter("arbalest_server_trace_spans_dropped_total", &[]),
         }
     }
 
-    /// Record a completed span for `session` (and into the recent ring).
-    pub fn record(&self, session: u64, ev: SpanEvent) {
-        {
-            let mut sessions = self.sessions.lock();
-            let buf = sessions.entry(session).or_default();
-            if buf.len() < SESSION_SPAN_CAP {
-                buf.push(ev);
-            } else {
-                self.dropped.inc();
-            }
+    /// Record a completed span into its session's buffer `session` (while
+    /// it has room) and into the recent ring.
+    pub fn record(&self, session: &mut Vec<SpanEvent>, ev: SpanEvent) {
+        if session.len() < SESSION_SPAN_CAP {
+            session.push(ev);
+        } else {
+            self.dropped.inc();
         }
-        self.push_recent(ev);
-    }
-
-    /// Record a span that belongs to no one session (startup recovery,
-    /// server lifecycle) into the recent ring only.
-    pub fn record_global(&self, ev: SpanEvent) {
-        self.push_recent(ev);
-    }
-
-    fn push_recent(&self, ev: SpanEvent) {
         let mut recent = self.recent.lock();
         if recent.len() >= RECENT_SPAN_CAP {
             recent.pop_front();
         }
         recent.push_back(ev);
-    }
-
-    /// Remove and return everything recorded for `session`, sorted by
-    /// start time (handler and worker threads interleave their writes).
-    pub fn take_session(&self, session: u64) -> Vec<SpanEvent> {
-        let mut spans = self.sessions.lock().remove(&session).unwrap_or_default();
-        spans.sort_by_key(|e| e.start_ns);
-        spans
-    }
-
-    /// Discard a session's buffer (abort / failure paths).
-    pub fn drop_session(&self, session: u64) {
-        self.sessions.lock().remove(&session);
     }
 
     /// The most recent spans across all sessions, oldest first.
@@ -94,43 +63,27 @@ impl TraceSink {
 mod tests {
     use super::*;
 
-    fn ev(session_hint: u64) -> SpanEvent {
+    fn ev(start_ns: u64) -> SpanEvent {
         SpanEvent {
             name: "test",
             tid: 0,
-            start_ns: session_hint,
+            start_ns,
             dur_ns: 1,
-            trace: u128::from(session_hint) + 1,
-            span: session_hint + 1,
+            trace: u128::from(start_ns) + 1,
+            span: start_ns + 1,
             parent: 0,
         }
-    }
-
-    #[test]
-    fn per_session_buffers_are_isolated_and_taken_once() {
-        let reg = Registry::new();
-        let sink = TraceSink::new(&reg);
-        sink.record(1, ev(10));
-        sink.record(2, ev(20));
-        sink.record(1, ev(5));
-        let one = sink.take_session(1);
-        assert_eq!(one.len(), 2);
-        // Sorted by start time even though recorded out of order.
-        assert!(one[0].start_ns <= one[1].start_ns);
-        assert!(sink.take_session(1).is_empty());
-        assert_eq!(sink.take_session(2).len(), 1);
-        // Everything also landed in the recent ring.
-        assert_eq!(sink.recent().len(), 3);
     }
 
     #[test]
     fn session_buffer_is_bounded_and_drops_are_counted() {
         let reg = Registry::new();
         let sink = TraceSink::new(&reg);
+        let mut session = Vec::new();
         for i in 0..(SESSION_SPAN_CAP as u64 + 10) {
-            sink.record(7, ev(i));
+            sink.record(&mut session, ev(i));
         }
-        assert_eq!(sink.take_session(7).len(), SESSION_SPAN_CAP);
+        assert_eq!(session.len(), SESSION_SPAN_CAP);
         assert_eq!(
             reg.snapshot().counter("arbalest_server_trace_spans_dropped_total", &[]),
             Some(10)
@@ -141,8 +94,9 @@ mod tests {
     fn recent_ring_keeps_the_newest() {
         let reg = Registry::new();
         let sink = TraceSink::new(&reg);
+        let mut session = Vec::new();
         for i in 0..(RECENT_SPAN_CAP as u64 + 5) {
-            sink.record_global(ev(i));
+            sink.record(&mut session, ev(i));
         }
         let recent = sink.recent();
         assert_eq!(recent.len(), RECENT_SPAN_CAP);

@@ -171,7 +171,6 @@ fn chaos_session(
             | ProtoError::Wire(_)
             | ProtoError::Remote(_)
             | ProtoError::Failed(_)
-            | ProtoError::Overloaded
             | ProtoError::DeadlineExceeded { .. },
         ) => false,
         Err(other) => {
@@ -214,7 +213,6 @@ fn soak(stride: usize, seeds: &[u64], wire_rate: f64, server_rate: f64, threads:
             &ListenAddr::Tcp("127.0.0.1:0".into()),
             ServerConfig {
                 shards: 4,
-                queue_cap: 64,
                 idle_timeout: Duration::from_secs(30),
                 request_deadline: Duration::from_secs(10),
                 faults: FaultConfig::new(seed, server_rate),
@@ -253,9 +251,10 @@ fn soak(stride: usize, seeds: &[u64], wire_rate: f64, server_rate: f64, threads:
         total_clean += clean;
         total_failed += data.len() - clean;
 
-        // Chaos killed connections, panicked workers, and degraded
+        // Chaos killed connections, panicked analyses, and degraded
         // sessions — none of that may leak session state or wedge the
-        // server. Every abort is a queued job, so poll briefly.
+        // server. A handler aborts its session as it notices the hang-up,
+        // so poll briefly.
         let mut admin = Client::connect(server.local_addr()).expect("connect after soak");
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {

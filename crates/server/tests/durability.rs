@@ -3,6 +3,7 @@
 //! **byte-identical** to an uninterrupted in-process run — for all 56
 //! DRACC cases at seeded pseudo-random cut offsets. Plus live-reconnect
 //! resume, refusal of resume on a server without a data directory,
+//! restart accounting (a session is rebuilt once, when resumed),
 //! snapshot/compaction triggering, and clean-finish garbage collection.
 
 use arbalest_core::{AnalysisSession, ArbalestConfig};
@@ -45,7 +46,6 @@ fn durable_server(data_dir: &Path, shards: usize) -> Server {
         &ListenAddr::Tcp("127.0.0.1:0".into()),
         ServerConfig {
             shards,
-            queue_cap: 64,
             data_dir: Some(data_dir.to_path_buf()),
             ..ServerConfig::default()
         },
@@ -94,8 +94,8 @@ fn kill_and_recover_every_dracc_case_at_seeded_offsets() {
         server.stop();
     }
 
-    // Phase 2: a fresh server over the same directory recovers every
-    // session; resuming and finishing each must converge to the
+    // Phase 2: on a fresh server over the same directory, resuming each
+    // session rebuilds it from disk; finishing each must converge to the
     // uninterrupted report.
     let server = durable_server(&data_dir, 4);
     let addr = server.local_addr().clone();
@@ -167,6 +167,71 @@ fn live_reconnect_resumes_from_the_wal() {
     let _ = std::fs::remove_dir_all(&data_dir);
 }
 
+/// Snapshot files are written after the batch is acked, on the
+/// session's writer thread. A session that snapshotted and compacted
+/// several times, then hung up, resumes from its newest snapshot: one
+/// finished snapshot and no temp file are on disk, the acked prefix is
+/// recovered, and the finish matches an uninterrupted run.
+#[test]
+fn a_resumed_session_rebuilds_from_its_last_snapshot() {
+    let data_dir = tmp_dir("snapwrite");
+    let server = Server::start(
+        &ListenAddr::Tcp("127.0.0.1:0".into()),
+        ServerConfig {
+            shards: 1,
+            data_dir: Some(data_dir.to_path_buf()),
+            store: arbalest_store::StoreConfig {
+                segment_bytes: 2048,
+                snapshot_every_events: 64,
+                ..arbalest_store::StoreConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr().clone();
+    let bench = arbalest_dracc::by_id(22).expect("DRACC 22");
+    let events = record(&bench);
+    let expected = in_process(&events);
+    // A multiple of the trigger: the last batch before the hang-up starts
+    // a snapshot, so the detach has a writer to wait for.
+    let cut = events.len() * 3 / 4 / 64 * 64;
+    assert!(cut >= 128, "need at least two snapshots before the cut");
+
+    let id = {
+        let mut client = Client::connect(&addr).expect("connect");
+        let id = client.hello().expect("hello");
+        for batch in events[..cut].chunks(16) {
+            client.send_events(batch).expect("send prefix");
+        }
+        id
+    }; // dropped without Finish
+
+    let mut client = Client::connect(&addr).expect("reconnect");
+    let mut attempts = 0;
+    while let Err(e) = client.hello_resume(Some(id)) {
+        assert!(attempts < 50 && matches!(e, ProtoError::Remote(_)), "{e:?}");
+        attempts += 1;
+        std::thread::sleep(Duration::from_millis(20));
+        client = Client::connect(&addr).expect("reconnect retry");
+    }
+    let names: Vec<String> = std::fs::read_dir(data_dir.join("sessions").join(id.to_string()))
+        .expect("session dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names.iter().filter(|n| n.ends_with(".snap")).count(), 1, "{names:?}");
+    assert!(!names.iter().any(|n| n.ends_with(".tmp")), "{names:?}");
+    let prom = client.metrics().expect("metrics");
+    assert!(prom_value(&prom, "arbalest_store_snapshots_total") >= 2, "{prom}");
+    assert_eq!(client.stats().expect("stats").session_events, cut as u64);
+    for batch in events[cut..].chunks(16) {
+        client.send_events(batch).expect("send tail");
+    }
+    assert_eq!(client.finish().expect("finish"), expected);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
 /// A session resumed while still attached elsewhere is refused: two
 /// writers interleaving one WAL would corrupt the resume point.
 #[test]
@@ -186,10 +251,9 @@ fn double_attach_is_refused() {
 }
 
 /// Without a data directory a session dies with its connection: its
-/// `Abort` is queued behind the batches the shard has not analysed yet,
-/// so attaching to the live state would let the abort drop it
-/// mid-stream. Drop a half-streamed session whose shard still has a
-/// backlog, retry the resume at once, and repeat for a couple of
+/// detector lived on the connection's thread, and no log holds its
+/// events, so there is nothing to rebuild it from. Drop a half-streamed
+/// session, retry the resume at once, and repeat for a couple of
 /// seconds: every attempt must be refused with a typed error naming
 /// `serve --data-dir`.
 #[test]
@@ -200,7 +264,7 @@ fn storeless_resume_never_attaches() {
     )
     .expect("bind storeless server");
     let addr = server.local_addr().clone();
-    // A long trace in large batches, so the shard lags the client.
+    // A long trace in large batches, so each session takes a while.
     let events = {
         let recorder = Arc::new(TraceRecorder::new());
         let rt = Runtime::with_tool(Config::default(), recorder.clone());
@@ -220,7 +284,7 @@ fn storeless_resume_never_attaches() {
                 client.send_events(batch).expect("send prefix");
             }
             id
-        }; // dropped without Finish: the server queues its Abort
+        }; // dropped without Finish: the server drops the session
         let mut retry = Client::connect(&addr).expect("reconnect");
         let retry_until = Instant::now() + Duration::from_millis(100);
         while Instant::now() < retry_until {
@@ -234,6 +298,77 @@ fn storeless_resume_never_attaches() {
     }
     assert!(attempts > 0);
     server.stop();
+}
+
+/// A session left open across a restart is rebuilt once, when its client
+/// resumes it — not also at boot — and counts as one session started
+/// and one finished.
+#[test]
+fn a_resumed_session_is_rebuilt_once_and_counted_once() {
+    let data_dir = tmp_dir("restart");
+    let events = record(&arbalest_dracc::by_id(22).expect("DRACC 22"));
+    let cut = events.len() / 2;
+    let id = {
+        let server = durable_server(&data_dir, 2);
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let id = client.hello().expect("hello");
+        for batch in events[..cut].chunks(16) {
+            client.send_events(batch).expect("send prefix");
+        }
+        drop(client); // no Finish
+        server.stop();
+        id
+    };
+
+    let server = durable_server(&data_dir, 2);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let recovered = |c: &mut Client| {
+        prom_value(&c.metrics().expect("metrics"), "arbalest_store_recovered_sessions_total")
+    };
+    assert_eq!(recovered(&mut client), 0, "boot rebuilt a session nobody resumed");
+    client.hello_resume(Some(id)).expect("resume");
+    assert_eq!(recovered(&mut client), 1);
+    for batch in events[cut..].chunks(16) {
+        client.send_events(batch).expect("send tail");
+    }
+    assert_eq!(client.finish().expect("finish"), in_process(&events));
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.sessions_started, stats.sessions_finished), (1, 1), "{stats:?}");
+    assert_eq!(stats.sessions_active(), 0, "{stats:?}");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// A resume that cannot be rebuilt is refused and counted by its error,
+/// and fresh sessions never take an id that is on disk.
+#[test]
+fn failed_recovery_is_counted_and_fresh_ids_skip_the_disk() {
+    let data_dir = tmp_dir("badrecovery");
+    let events = record(&arbalest_dracc::by_id(22).expect("DRACC 22"));
+    {
+        // A log that starts at event 10 with no snapshot under it.
+        let store = arbalest_store::Store::open(
+            &data_dir,
+            arbalest_store::StoreConfig::default(),
+            &arbalest_obs::Registry::new(),
+        )
+        .expect("open store");
+        let mut log = store.open_log(5, 10).expect("open log");
+        log.append(&events[10..20]).expect("append");
+    }
+    let server = durable_server(&data_dir, 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let err = client.hello_resume(Some(5)).expect_err("a gapped log must not resume");
+    assert!(matches!(&err, ProtoError::Remote(m) if m.contains("gap")), "{err:?}");
+    let prom = client.metrics().expect("metrics");
+    assert!(
+        prom.lines().any(|l| l == "arbalest_store_recovery_failures_total{error=\"gap\"} 1"),
+        "{prom}"
+    );
+    assert_eq!(prom_value(&prom, "arbalest_store_recovered_sessions_total"), 0);
+    assert_eq!(client.hello().expect("fresh session"), 6);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&data_dir);
 }
 
 /// Parse one unlabelled sample's value out of Prometheus text.

@@ -180,8 +180,8 @@ fn shard_panic_surfaces_as_a_typed_failure_and_spares_other_sessions() {
     let bench = arbalest_dracc::by_id(22).expect("DRACC 22");
     let events = record(&bench);
 
-    // An innocent session is open on the same shard while the victim's
-    // batch panics the worker.
+    // An innocent session is open while the victim's batch panics its
+    // analysis.
     let mut innocent = Client::connect(server.local_addr()).expect("connect innocent");
     innocent.hello().expect("hello innocent");
 
@@ -193,9 +193,16 @@ fn shard_panic_surfaces_as_a_typed_failure_and_spares_other_sessions() {
         }
         other => panic!("wanted ShardPanic, got {other:?}"),
     }
+    // The submit had a second batch in flight when the first one failed;
+    // it read that batch's answer too, so the stream stays in step: the
+    // finish gets the session's own answer and a later request its reply.
+    assert!(events.len() > 64, "need two batches in flight");
+    let again = victim.finish().expect_err("a quarantined session stays failed");
+    assert!(matches!(again, ProtoError::Failed(SessionFailure::ShardPanic { .. })), "{again:?}");
+    victim.stats().expect("stats after the failed session");
 
-    // The worker restarted; the innocent session (which never fed events,
-    // so never tripped the fault) still finishes cleanly.
+    // The innocent session (which never fed events, so never tripped the
+    // fault) still finishes cleanly.
     let reports = innocent.finish().expect("innocent finish");
     assert!(reports.is_empty());
     server.stop();
@@ -237,6 +244,19 @@ fn wire_version_mismatch_still_fails_fast() {
     let reply = Frame::read_from(&mut raw, &mut || true).expect("reply");
     assert!(matches!(reply, Frame::Error { .. }), "{reply:?}");
     server.stop();
+}
+
+#[test]
+fn client_deadline_bounds_a_reply_that_never_comes() {
+    // The kernel completes the connect; nothing ever accepts or answers.
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = ListenAddr::Tcp(silent.local_addr().expect("bound address").to_string());
+    let mut client =
+        Client::connect(&addr).expect("connect").with_deadline(Duration::from_millis(200));
+    let t0 = Instant::now();
+    let err = client.hello().expect_err("no reply ever comes");
+    assert!(matches!(err, ProtoError::DeadlineExceeded { .. }), "{err:?}");
+    assert!(t0.elapsed() < Duration::from_secs(5), "deadline fired after {:?}", t0.elapsed());
 }
 
 fn unix_path(tag: &str) -> PathBuf {

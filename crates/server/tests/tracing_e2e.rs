@@ -63,7 +63,6 @@ fn traced_session_writes_a_linked_perfetto_tree() {
         &ListenAddr::Tcp("127.0.0.1:0".into()),
         ServerConfig {
             shards: 2,
-            queue_cap: 64,
             trace_dir: Some(trace_dir.clone()),
             data_dir: Some(data_dir.clone()),
             ..ServerConfig::default()
@@ -134,7 +133,7 @@ fn traced_session_writes_a_linked_perfetto_tree() {
 fn trace_snapshot_frame_surfaces_recent_spans() {
     let server = Server::start(
         &ListenAddr::Tcp("127.0.0.1:0".into()),
-        ServerConfig { shards: 1, queue_cap: 16, ..ServerConfig::default() },
+        ServerConfig { shards: 1, ..ServerConfig::default() },
     )
     .expect("bind");
 
@@ -176,7 +175,6 @@ fn untraced_clients_leave_no_trace_files() {
         &ListenAddr::Tcp("127.0.0.1:0".into()),
         ServerConfig {
             shards: 1,
-            queue_cap: 16,
             trace_dir: Some(trace_dir.clone()),
             ..ServerConfig::default()
         },

@@ -8,11 +8,12 @@
 //! <root>/sessions/<id>/snapshot-<seq>.snap    versioned snapshots
 //! ```
 //!
-//! A session directory existing at startup *is* the "unfinished session"
-//! marker: a clean `Finish` removes the directory, so everything found at
-//! boot is recovered. Snapshots are written atomically (temp + rename)
-//! and the WAL is fsynced before a snapshot counts, so at any instant
-//! the directory holds a consistent (snapshot, WAL-tail) pair.
+//! A session directory *is* the "unfinished session" marker: a clean
+//! `Finish` removes the directory, so every directory present can be
+//! resumed, and a resume rebuilds it. Snapshots are written atomically
+//! (temp + rename), and compaction deletes only the WAL segments a
+//! snapshot covers, so at any instant the directory holds a consistent
+//! (snapshot, WAL-tail) pair.
 
 use crate::metrics::StoreMetrics;
 use crate::snapshot::{decode_session_snapshot, encode_session_snapshot};
@@ -63,9 +64,6 @@ pub struct Store {
     cfg: StoreConfig,
     metrics: Arc<StoreMetrics>,
 }
-
-/// One session's outcome in a [`Store::recover_all`] sweep.
-pub type RecoveryOutcome = (u64, Result<RecoveredSession, StoreError>);
 
 /// A session rebuilt from disk by [`Store::recover_session`].
 pub struct RecoveredSession {
@@ -167,7 +165,7 @@ impl Store {
     }
 
     /// Ids of every session directory present (ascending). Each one is an
-    /// unfinished session to recover.
+    /// unfinished session a client may resume.
     pub fn session_ids(&self) -> Result<Vec<u64>, StoreError> {
         let mut out = Vec::new();
         for entry in fs::read_dir(self.root.join("sessions"))? {
@@ -321,21 +319,6 @@ impl Store {
         })
     }
 
-    /// Recover every session directory. A session that fails to recover
-    /// is returned as its error (the directory is left untouched for
-    /// inspection) without aborting the others.
-    pub fn recover_all(
-        &self,
-        cfg: &ArbalestConfig,
-        reg: &Registry,
-    ) -> Result<Vec<RecoveryOutcome>, StoreError> {
-        let mut out = Vec::new();
-        for id in self.session_ids()? {
-            out.push((id, self.recover_session(id, cfg, reg)));
-        }
-        Ok(out)
-    }
-
     /// Remove a session's durable state (after a clean `Finish`).
     pub fn remove_session(&self, id: u64) -> Result<(), StoreError> {
         let dir = self.session_dir(id);
@@ -475,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_removes_session_and_recover_all_skips_it() {
+    fn finish_removes_session() {
         let store = tmp_store("remove", StoreConfig::default());
         let trace = dracc_trace(0);
         let mut log = store.open_log(3, 0).unwrap();
@@ -484,8 +467,6 @@ mod tests {
         assert_eq!(store.session_ids().unwrap(), vec![3]);
         store.remove_session(3).unwrap();
         assert!(store.session_ids().unwrap().is_empty());
-        let all = store.recover_all(&ArbalestConfig::default(), &Registry::new()).unwrap();
-        assert!(all.is_empty());
         destroy(store);
     }
 

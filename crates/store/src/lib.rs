@@ -4,8 +4,8 @@
 //! **write-ahead log** of wire-encoded trace events per session, a
 //! versioned binary **snapshot** format serializing complete analysis
 //! state ([`arbalest_core::SessionSnapshot`]), and **crash recovery**
-//! that rebuilds every unfinished session from its latest valid snapshot
-//! plus the WAL tail.
+//! that rebuilds an unfinished session from its latest valid snapshot
+//! plus the WAL tail when a client resumes it.
 //!
 //! ARBALEST's soundness contract (Theorem 1) holds only over a *complete*
 //! event stream, so the recovery invariants are strict:
@@ -39,7 +39,7 @@ pub mod metrics;
 pub mod snapshot;
 pub mod wal;
 
-pub use dir::{RecoveredSession, RecoveryOutcome, SessionLog, Store, StoreConfig};
+pub use dir::{RecoveredSession, SessionLog, Store, StoreConfig};
 pub use metrics::StoreMetrics;
 pub use snapshot::{decode_session_snapshot, encode_session_snapshot, SNAP_VERSION};
 pub use wal::{read_wal, FsyncPolicy, WalReplay, WalWriter, WAL_VERSION};

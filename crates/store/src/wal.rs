@@ -235,7 +235,13 @@ impl WalWriter {
                 return Err(StoreError::Poisoned);
             }
         }
-        self.file.write_all(&record)?;
+        if let Err(e) = self.file.write_all(&record) {
+            // Part of the record may be in the file. Another append after
+            // it would bury that torn record inside the log, so the writer
+            // takes no more.
+            self.poisoned = true;
+            return Err(e.into());
+        }
         self.events_appended += events.len() as u64;
         self.bytes_in_segment += record.len() as u64;
         self.unsynced += record.len() as u64;
@@ -612,6 +618,31 @@ mod tests {
         // The resulting file recovers typed: nothing or a broken suffix.
         let replay = read_wal(&dir, true).unwrap();
         assert!(replay.events.is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_write_poisons_the_writer() {
+        let dir = tmpdir("failed-write");
+        let mut w = WalWriter::open(
+            &dir,
+            0,
+            8 << 20,
+            FsyncPolicy::Never,
+            FaultConfig::disabled(),
+            metrics(),
+        )
+        .unwrap();
+        w.append(&[ev(1)]).unwrap();
+        // A read-only handle on the same segment: the next write fails.
+        let healthy = std::mem::replace(&mut w.file, File::open(segment_path(&dir, 0)).unwrap());
+        assert!(matches!(w.append(&[ev(2)]).unwrap_err(), StoreError::Io(_)));
+        // The write is gone, but the writer takes no more appends, so
+        // nothing can land after a record the failure may have torn.
+        w.file = healthy;
+        assert!(matches!(w.append(&[ev(3)]).unwrap_err(), StoreError::Poisoned));
+        assert_eq!(w.events_appended(), 1);
+        assert_eq!(read_wal(&dir, false).unwrap().events, vec![ev(1)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
