@@ -186,12 +186,15 @@ trap - EXIT
 rm -rf "$DSOCK" "$DTRACE" "$DATA"
 echo "    crash-recovery smoke OK"
 
-step "causal-tracing smoke (serve --trace-dir, 30s budget)"
+step "causal-tracing smoke (serve --trace-dir --data-dir, 30s budget)"
 TSOCK="$(mktemp -u /tmp/arbalest-ci-XXXXXX.sock)"
 TDIR="$(mktemp -d /tmp/arbalest-ci-XXXXXX.traces)"
-timeout 30 "$ARB" serve --listen "unix:$TSOCK" --shards 2 --trace-dir "$TDIR" &
+TDATA="$(mktemp -d /tmp/arbalest-ci-XXXXXX.data)"
+# A durable instance, so every batch also has its wal_append leg.
+timeout 30 "$ARB" serve --listen "unix:$TSOCK" --shards 2 --trace-dir "$TDIR" \
+    --data-dir "$TDATA" &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$TSOCK" "$TDIR"' EXIT
+trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$TSOCK" "$TDIR" "$TDATA"' EXIT
 for _ in $(seq 1 50); do [[ -S "$TSOCK" ]] && break; sleep 0.1; done
 [[ -S "$TSOCK" ]] || { echo "tracing server never bound $TSOCK"; exit 1; }
 "$ARB" submit 22 --connect "unix:$TSOCK" --trace --quiet
@@ -201,15 +204,13 @@ TRACE_FILE="$(ls "$TDIR"/session-*.json 2>/dev/null | head -1)"
 # and carry every leg of the batch pipeline.
 "$ARB" check-trace "$TRACE_FILE"
 for leg in client_submit wal_append shard_job detector_feed; do
-    # wal_append only appears with --data-dir; skip it on this instance.
-    [[ "$leg" == "wal_append" ]] && continue
     grep -q "\"name\":\"$leg\"" "$TRACE_FILE" \
         || { echo "trace file missing $leg spans"; exit 1; }
 done
 "$ARB" stop --connect "unix:$TSOCK"
 wait "$SERVE_PID" || { echo "tracing server exited non-zero"; exit 1; }
 trap - EXIT
-rm -rf "$TSOCK" "$TDIR"
+rm -rf "$TSOCK" "$TDIR" "$TDATA"
 echo "    causal-tracing smoke OK"
 
 step "arbalest explain smoke (provenance chains agree with hints)"

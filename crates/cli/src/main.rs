@@ -19,7 +19,6 @@
 //! arbalest stats [options]               query server counters
 //! arbalest stop [options]                drain and stop a server
 //! arbalest store inspect <data-dir>      describe a durable data directory
-//! arbalest store compact <data-dir>      prune covered WAL segments
 //!
 //! options:
 //!   --tool arbalest|memcheck|archer|asan|msan   (repeatable; default arbalest)
@@ -121,13 +120,11 @@ struct Options {
     deadline: Option<Duration>,
     /// serve: durable-session data directory (`None` = no durability).
     data_dir: Option<String>,
-    /// serve: directory for per-session Perfetto trace files (`None` = the
-    /// server still buffers spans for `TraceSnapshot`, but writes nothing).
+    /// serve: directory for per-session Perfetto trace files (`None` = no
+    /// session keeps its spans, and nothing is written).
     trace_dir: Option<String>,
     /// submit: stamp batches with root span contexts (causal tracing).
     trace: bool,
-    /// serve: snapshot a session after this many WAL bytes (0 = off).
-    snapshot_every_bytes: u64,
     /// serve: snapshot a session after this many events (0 = off).
     snapshot_every_events: u64,
     /// serve: WAL fsync policy.
@@ -209,8 +206,6 @@ usage: arbalest <command> [options]
   stop                       drain and stop a server
   store inspect <data-dir>   describe a durable data directory: sessions,
                              WAL segments, snapshots, torn/corrupt tails
-  store compact <data-dir>   prune WAL segments covered by each session's
-                             newest snapshot
 options:
   --listen <addr>            serve: bind address (host:port or unix:<path>;
                              default unix:/tmp/arbalest.sock)
@@ -238,8 +233,6 @@ options:
   --trace                    submit: stamp every batch with a fresh root
                              span context so the server records the causal
                              tree (client_submit -> wal_append/shard_job)
-  --snapshot-every-bytes <n> serve: snapshot+compact a session after this
-                             many WAL bytes, K/M/G ok (default 0 = off)
   --snapshot-every-events <n> serve: snapshot+compact after this many
                              events (default 0 = off)
   --fsync-policy <p>         serve: always | group[=bytes] | never
@@ -344,7 +337,6 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
         data_dir: None,
         trace_dir: None,
         trace: false,
-        snapshot_every_bytes: 0,
         snapshot_every_events: 0,
         fsync: arbalest_store::FsyncPolicy::default(),
         resume: None,
@@ -421,9 +413,6 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
             "--data-dir" => o.data_dir = Some(flag_value(flag, it.next(), "a directory", path)?),
             "--trace-dir" => o.trace_dir = Some(flag_value(flag, it.next(), "a directory", path)?),
             "--trace" => o.trace = true,
-            "--snapshot-every-bytes" => {
-                o.snapshot_every_bytes = flag_value(flag, it.next(), bytes, parse_bytes)?;
-            }
             "--snapshot-every-events" => {
                 o.snapshot_every_events = flag_value(flag, it.next(), "a number", parse_num)?;
             }
@@ -1484,7 +1473,6 @@ fn cmd_serve(opts: &Options) -> ExitCode {
         trace_dir: opts.trace_dir.clone().map(std::path::PathBuf::from),
         store: arbalest_store::StoreConfig {
             fsync: opts.fsync,
-            snapshot_every_bytes: opts.snapshot_every_bytes,
             snapshot_every_events: opts.snapshot_every_events,
             ..arbalest_store::StoreConfig::default()
         },
@@ -1541,38 +1529,30 @@ fn cmd_submit(target: &str, opts: &Options) -> ExitCode {
         if opts.trace {
             // The registry's own spans are discarded on exit; what matters
             // is the contexts stamped on the wire, which the server records
-            // into its trace sink (and --trace-dir file, if configured).
+            // into its flight recorder (and --trace-dir file, if configured).
             client = client.with_tracing(Registry::new());
         }
-        let id = match opts.resume {
-            None => client.hello().map_err(|e| e.to_string())?,
-            Some(id) => {
-                client.hello_resume(Some(id)).map_err(|e| format!("resume session {id}: {e}"))?;
-                id
-            }
-        };
         // How far the session already got: 0 for a fresh one, the durable
         // record's event count when resuming. Stream only past that point.
-        let skip = if opts.resume.is_some() {
-            let done = client.stats().map_err(|e| e.to_string())?.session_events;
-            if done > events.len() as u64 {
-                return Err(format!(
-                    "session {id} already holds {done} event(s) but the trace has only {}",
-                    events.len()
-                ));
+        let (id, skip) = match opts.resume {
+            None => (client.hello().map_err(|e| e.to_string())?, 0),
+            Some(id) => {
+                let done = client.resume(id).map_err(|e| format!("resume session {id}: {e}"))?;
+                if done > events.len() as u64 {
+                    return Err(format!(
+                        "session {id} already holds {done} event(s) but the trace has only {}",
+                        events.len()
+                    ));
+                }
+                eprintln!(
+                    "resuming session {id}: {done} event(s) already durable, sending {}",
+                    events.len() as u64 - done
+                );
+                (id, done as usize)
             }
-            eprintln!(
-                "resuming session {id}: {done} event(s) already durable, sending {}",
-                events.len() as u64 - done
-            );
-            done as usize
-        } else {
-            0
         };
         let end = opts.take.map_or(events.len(), |n| n.clamp(skip, events.len()));
-        for batch in events[skip..end].chunks(opts.chunk.max(1)) {
-            client.send_events(batch).map_err(|e| e.to_string())?;
-        }
+        client.send_all(&events[skip..end], opts.chunk).map_err(|e| e.to_string())?;
         if opts.no_finish {
             Ok((id, end, None))
         } else {
@@ -1750,60 +1730,6 @@ fn cmd_store_inspect(dir: &str) -> ExitCode {
     }
 }
 
-/// `arbalest store compact <data-dir>`: for every session, delete WAL
-/// segments fully covered by its newest snapshot and drop superseded
-/// snapshots (exactly what the serve-side trigger does, offline).
-fn cmd_store_compact(dir: &str) -> ExitCode {
-    let root = std::path::Path::new(dir);
-    let store = match arbalest_store::Store::open(
-        root,
-        arbalest_store::StoreConfig::default(),
-        &Registry::disabled(),
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("open {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let ids = match store.session_ids() {
-        Ok(ids) => ids,
-        Err(e) => {
-            eprintln!("list sessions in {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut failed = false;
-    for id in ids {
-        let covered = match store.latest_snapshot(id) {
-            Ok(Some(snap)) => snap.events,
-            Ok(None) => {
-                println!("session {id}: no snapshot, nothing coverable");
-                continue;
-            }
-            Err(e) => {
-                eprintln!("session {id}: cannot read snapshot: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        match store.compact(id, covered) {
-            Ok(removed) => println!(
-                "session {id}: {removed} segment(s) removed (snapshot covers {covered} event(s))"
-            ),
-            Err(e) => {
-                eprintln!("session {id}: compaction failed: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 fn cmd_stop(opts: &Options) -> ExitCode {
     let result = connect(opts).and_then(|mut c| c.shutdown_server().map_err(|e| e.to_string()));
     match result {
@@ -1835,14 +1761,13 @@ fn main() -> ExitCode {
         "list" => return cmd_list(),
         "store" => {
             let (Some(action), Some(dir)) = (args.get(1), args.get(2)) else {
-                eprintln!("usage: arbalest store <inspect|compact> <data-dir>\n");
+                eprintln!("usage: arbalest store inspect <data-dir>\n");
                 return usage();
             };
             return match action.as_str() {
                 "inspect" => cmd_store_inspect(dir),
-                "compact" => cmd_store_compact(dir),
                 other => {
-                    eprintln!("unknown store action '{other}' (want inspect|compact)\n");
+                    eprintln!("unknown store action '{other}' (want inspect)\n");
                     usage()
                 }
             };

@@ -111,6 +111,8 @@ fn bad_flags_are_refused_and_unread_ones_ignored() {
         (&["serve", "--idle-timeout", "inf"], "--idle-timeout needs seconds"),
         (&["serve", "--queue-cap", "8"], "unknown option '--queue-cap'"),
         (&["serve", "--max-inflight", "8"], "unknown option '--max-inflight'"),
+        (&["serve", "--snapshot-every-bytes", "1M"], "unknown option '--snapshot-every-bytes'"),
+        (&["store", "compact", "DIR"], "unknown store action 'compact'"),
         (&["spec", "all", "--preset", "bogus"], "unknown preset 'bogus' (want test|small|medium)"),
     ] {
         let (code, stderr) = exit_code(args);

@@ -1107,11 +1107,6 @@ impl TargetBuilder<'_> {
         self.access(buf, Sect::Elems { start, len }, true, Certainty::Must)
     }
 
-    /// Kernel must-writes a symbolic section.
-    pub fn writes_sym(self, buf: BufId, start: Expr, len: Expr) -> Self {
-        self.access(buf, Sect::Sym { start, len }, true, Certainty::Must)
-    }
-
     /// Kernel may-writes the whole buffer (data-dependent indices).
     pub fn may_writes(self, buf: BufId) -> Self {
         self.access(buf, Sect::Full, true, Certainty::May)

@@ -419,12 +419,6 @@ impl Runtime {
         &self.inner.cfg
     }
 
-    /// The metrics registry this runtime records into (the one passed via
-    /// [`Config::metrics`]; disabled by default).
-    pub fn metrics_registry(&self) -> &arbalest_obs::Registry {
-        &self.inner.metrics.reg
-    }
-
     /// Collected reports: the runtime's own findings (e.g. double free)
     /// followed by those of every attached tool.
     pub fn reports(&self) -> Vec<Report> {

@@ -660,45 +660,6 @@ pub fn get_span_context(cur: &mut Cursor<'_>) -> Result<arbalest_obs::SpanContex
     })
 }
 
-/// Serialize a count-prefixed span-event list (the payload of the
-/// server's `TraceSnapshotReply` frame).
-pub fn encode_span_events(events: &[arbalest_obs::SpanEvent], out: &mut Vec<u8>) {
-    put_u32(out, events.len() as u32);
-    for e in events {
-        put_str(out, e.name);
-        put_u32(out, e.tid);
-        put_u64(out, e.start_ns);
-        put_u64(out, e.dur_ns);
-        put_span_context(out, e.context());
-    }
-}
-
-/// Decode a count-prefixed span-event list. Span names are re-interned
-/// (the vocabulary is a tiny closed set per build) so the decoded events
-/// keep the `&'static str` field of the original.
-pub fn decode_span_events(cur: &mut Cursor<'_>) -> Result<Vec<arbalest_obs::SpanEvent>, WireError> {
-    let n = cur.count("span event list")?;
-    let mut events = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let name = cur.string()?;
-        let name = SrcLoc::intern(&name, 0, 0).file;
-        let tid = cur.u32()?;
-        let start_ns = cur.u64()?;
-        let dur_ns = cur.u64()?;
-        let ctx = get_span_context(cur)?;
-        events.push(arbalest_obs::SpanEvent {
-            name,
-            tid,
-            start_ns,
-            dur_ns,
-            trace: ctx.trace,
-            span: ctx.span,
-            parent: ctx.parent,
-        });
-    }
-    Ok(events)
-}
-
 /// Serialize a whole trace as a standalone file: magic, version, events.
 pub fn encode_trace(events: &[TraceEvent]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -827,38 +788,6 @@ mod tests {
         let cut = &bytes[..last - 2]; // strip clock tail, corrupt mid-chain
         assert!(decode_report(&mut Cursor::new(cut)).is_err());
         let _ = last;
-    }
-
-    #[test]
-    fn span_events_round_trip_and_reintern_names() {
-        let events = vec![
-            arbalest_obs::SpanEvent {
-                name: SrcLoc::intern("client_submit", 0, 0).file,
-                tid: 1,
-                start_ns: 100,
-                dur_ns: 50,
-                trace: 0xABCD_0000_0000_0000_0000_0000_0000_0001,
-                span: 7,
-                parent: 0,
-            },
-            arbalest_obs::SpanEvent {
-                name: SrcLoc::intern("shard_job", 0, 0).file,
-                tid: 9,
-                start_ns: 120,
-                dur_ns: 10,
-                trace: 0xABCD_0000_0000_0000_0000_0000_0000_0001,
-                span: 8,
-                parent: 7,
-            },
-        ];
-        let mut bytes = Vec::new();
-        encode_span_events(&events, &mut bytes);
-        let mut cur = Cursor::new(&bytes);
-        let back = decode_span_events(&mut cur).unwrap();
-        assert!(cur.is_empty());
-        assert_eq!(back, events);
-        // The 128-bit trace id survives the two-halves encoding.
-        assert_eq!(back[0].trace, events[0].trace);
     }
 
     #[test]

@@ -347,9 +347,9 @@ fn trailing_garbage_is_rejected() {
 // type-tag assignment is a bijection, and truncation or corruption of any
 // frame yields a typed error — never a panic. Covers the frames added
 // after the original protocol (Metrics 0x06, MetricsReply 0x88,
-// SessionFailed 0x89) and the tracing admin pair (TraceSnapshot 0x09 /
-// TraceSnapshotReply 0x8C); the retired migration tags (0x07, 0x08,
-// 0x8A, 0x8B) and the retired `Busy` tag (0x83) must be refused.
+// SessionFailed 0x89); the retired migration tags (0x07, 0x08, 0x8A,
+// 0x8B), the retired `Busy` tag (0x83) and the retired tracing admin
+// pair (TraceSnapshot 0x09, TraceSnapshotReply 0x8C) must be refused.
 // ---------------------------------------------------------------------------
 
 use arbalest_server::proto::{Frame, ProtoError, StatsSnapshot, WIRE_VERSION};
@@ -377,8 +377,8 @@ fn frame_exemplars() -> Vec<(u8, Frame)> {
         (0x04, Frame::Stats),
         (0x05, Frame::Shutdown),
         (0x06, Frame::Metrics),
-        (0x09, Frame::TraceSnapshot),
-        (0x81, Frame::HelloAck { version: WIRE_VERSION, shards: 8, session: 42 }),
+        (0x81, Frame::HelloAck { version: WIRE_VERSION, session: 42, events: 0 }),
+        (0x81, Frame::HelloAck { version: WIRE_VERSION, session: 42, events: 1800 }),
         (0x82, Frame::EventsAck { accepted: 1024 }),
         (0x84, Frame::Reports(Vec::new())),
         (
@@ -387,7 +387,6 @@ fn frame_exemplars() -> Vec<(u8, Frame)> {
                 sessions_started: 5,
                 sessions_finished: 3,
                 events_received: 999,
-                session_events: 40,
                 ..Default::default()
             }),
         ),
@@ -404,19 +403,6 @@ fn frame_exemplars() -> Vec<(u8, Frame)> {
         ),
         (0x89, Frame::SessionFailed(SessionFailure::IdleTimeout { limit_ms: 120_000 })),
         (0x89, Frame::SessionFailed(SessionFailure::DeadlineExceeded { limit_ms: 30_000 })),
-        (0x8C, Frame::TraceSnapshotReply(Vec::new())),
-        (
-            0x8C,
-            Frame::TraceSnapshotReply(vec![arbalest_obs::SpanEvent {
-                name: "shard_job",
-                tid: 3,
-                start_ns: 100,
-                dur_ns: 25,
-                trace: 42,
-                span: 9,
-                parent: 4,
-            }]),
-        ),
     ]
 }
 
@@ -460,12 +446,12 @@ fn frame_tag_assignment_is_a_bijection() {
         }
     }
     assert_eq!(tag_to_label.len(), label_to_tag.len());
-    assert_eq!(tag_to_label.len(), 16, "every frame type has an exemplar");
+    assert_eq!(tag_to_label.len(), 14, "every frame type has an exemplar");
 }
 
 #[test]
 fn unknown_frame_tags_are_typed_errors() {
-    for tag in [0x00u8, 0x07, 0x08, 0x0A, 0x7F, 0x80, 0x83, 0x8A, 0x8B, 0x8D, 0xFF] {
+    for tag in [0x00u8, 0x07, 0x08, 0x09, 0x0A, 0x7F, 0x80, 0x83, 0x8A, 0x8B, 0x8C, 0x8D, 0xFF] {
         let bytes = [2u32.to_le_bytes().as_slice(), &[tag, 0]].concat();
         match decode_frame(&bytes) {
             Err(ProtoError::Wire(WireError::BadTag { .. })) => {}

@@ -2,14 +2,14 @@
 //! the reports.
 //!
 //! The server acks an `Events` batch only once it has logged and
-//! analysed it. [`Client::submit`] keeps one batch ahead of the acks, so
-//! a connection has at most two batches in flight; every other request
-//! waits for its reply. That, and TCP flow control, is the whole of
-//! backpressure.
+//! analysed it. [`Client::send_all`] (behind [`Client::submit`]) keeps
+//! one batch ahead of the acks, so a connection has at most two batches
+//! in flight; every other request waits for its reply. That, and TCP
+//! flow control, is the whole of backpressure.
 
 use crate::proto::{Frame, ProtoError, StatsSnapshot, WIRE_VERSION};
 use crate::server::ListenAddr;
-use arbalest_obs::{Registry, Span, SpanContext, SpanEvent};
+use arbalest_obs::{Registry, Span, SpanContext};
 use arbalest_offload::report::Report;
 use arbalest_offload::trace::TraceEvent;
 use std::io::{Read, Write};
@@ -69,7 +69,6 @@ struct Posted {
 /// One connection to an `arbalest serve` instance.
 pub struct Client {
     stream: Box<dyn Transport>,
-    session: Option<u64>,
     deadline: Option<Duration>,
     /// Registry for client-side causal tracing; disabled by default, so
     /// untraced clients stamp no contexts and record no spans.
@@ -89,17 +88,12 @@ impl Client {
             }
             ListenAddr::Unix(path) => Box::new(UnixStream::connect(path)?),
         };
-        Ok(Client { stream, session: None, deadline: None, tracer: Registry::disabled() })
+        Ok(Client { stream, deadline: None, tracer: Registry::disabled() })
     }
 
     /// Wrap an already-connected byte stream (used by in-process tests).
     pub fn from_stream(stream: impl Read + Write + Send + 'static) -> Client {
-        Client {
-            stream: Box::new(Given(stream)),
-            session: None,
-            deadline: None,
-            tracer: Registry::disabled(),
-        }
+        Client { stream: Box::new(Given(stream)), deadline: None, tracer: Registry::disabled() }
     }
 
     /// Enable causal tracing: every subsequent batch is stamped with a
@@ -154,28 +148,24 @@ impl Client {
         }
     }
 
-    /// Open a session; returns the server-assigned session id.
+    /// Open a fresh session; returns the server-assigned session id.
     pub fn hello(&mut self) -> Result<u64, ProtoError> {
-        self.hello_resume(None)
+        self.open(None).map(|(session, _)| session)
     }
 
-    /// Open a fresh session (`resume: None`) or reattach to a durable one
-    /// by id (the server must run with a data directory). On a resumed
-    /// session, [`Client::stats`] reports `session_events` — the index
-    /// the next submitted event should have.
-    pub fn hello_resume(&mut self, resume: Option<u64>) -> Result<u64, ProtoError> {
+    /// Reattach to durable session `id` (the server must run with a data
+    /// directory). Returns how many of its events the server already
+    /// holds: the index the next submitted event should have.
+    pub fn resume(&mut self, id: u64) -> Result<u64, ProtoError> {
+        self.open(Some(id)).map(|(_, events)| events)
+    }
+
+    /// Send `Hello`; returns the session id and the events it holds.
+    fn open(&mut self, resume: Option<u64>) -> Result<(u64, u64), ProtoError> {
         match self.call(&Frame::Hello { version: WIRE_VERSION, resume })? {
-            Frame::HelloAck { session, .. } => {
-                self.session = Some(session);
-                Ok(session)
-            }
+            Frame::HelloAck { session, events, .. } => Ok((session, events)),
             _ => Err(ProtoError::Unexpected("wanted HelloAck")),
         }
-    }
-
-    /// The session id, if a session is open.
-    pub fn session(&self) -> Option<u64> {
-        self.session
     }
 
     /// Send one batch and wait until the server has logged and analysed
@@ -183,6 +173,25 @@ impl Client {
     pub fn send_events(&mut self, batch: &[TraceEvent]) -> Result<(), ProtoError> {
         let sent = self.post_events(batch)?;
         self.await_ack(sent)
+    }
+
+    /// Stream `events` into the open session in batches of `chunk`
+    /// (minimum 1), and return once every batch is acked. One batch stays
+    /// ahead of the acks: while the server analyses a batch, the next one
+    /// already waits in its socket buffer, so encoding it and the round
+    /// trip overlap the analysis.
+    pub fn send_all(&mut self, events: &[TraceEvent], chunk: usize) -> Result<(), ProtoError> {
+        let mut ahead = None;
+        for batch in events.chunks(chunk.max(1)) {
+            let posted = self.post_events(batch)?;
+            if let Err(e) = self.await_ack(std::mem::replace(&mut ahead, posted)) {
+                // Read the answer to the batch already sent, so the stream
+                // stays in step for whatever the caller sends next.
+                let _ = self.await_ack(ahead);
+                return Err(e);
+            }
+        }
+        self.await_ack(ahead)
     }
 
     /// Send one batch without waiting for its ack ([`Client::await_ack`]).
@@ -211,10 +220,7 @@ impl Client {
     /// Close the session and collect its reports.
     pub fn finish(&mut self) -> Result<Vec<Report>, ProtoError> {
         match self.call(&Frame::Finish)? {
-            Frame::Reports(reports) => {
-                self.session = None;
-                Ok(reports)
-            }
+            Frame::Reports(reports) => Ok(reports),
             _ => Err(ProtoError::Unexpected("wanted Reports")),
         }
     }
@@ -232,20 +238,7 @@ impl Client {
         chunk: usize,
     ) -> Result<Vec<Report>, ProtoError> {
         self.hello()?;
-        // One batch ahead: while the server analyses a batch, the next one
-        // already waits in its socket buffer, so encoding it and the round
-        // trip overlap the analysis.
-        let mut ahead = None;
-        for batch in events.chunks(chunk.max(1)) {
-            let posted = self.post_events(batch)?;
-            if let Err(e) = self.await_ack(std::mem::replace(&mut ahead, posted)) {
-                // Read the answer to the batch already sent, so the stream
-                // stays in step for whatever the caller sends next.
-                let _ = self.await_ack(ahead);
-                return Err(e);
-            }
-        }
-        self.await_ack(ahead)?;
+        self.send_all(events, chunk)?;
         self.finish()
     }
 
@@ -264,16 +257,6 @@ impl Client {
         match self.call(&Frame::Metrics)? {
             Frame::MetricsReply(text) => Ok(text),
             _ => Err(ProtoError::Unexpected("wanted MetricsReply")),
-        }
-    }
-
-    /// Fetch the server's most recent completed trace spans (any
-    /// session): the `TraceSnapshot` admin frame. Useful for inspecting a
-    /// live server without waiting for a session's trace file.
-    pub fn trace_snapshot(&mut self) -> Result<Vec<SpanEvent>, ProtoError> {
-        match self.call(&Frame::TraceSnapshot)? {
-            Frame::TraceSnapshotReply(spans) => Ok(spans),
-            _ => Err(ProtoError::Unexpected("wanted TraceSnapshotReply")),
         }
     }
 

@@ -16,14 +16,12 @@
 //!   std-only) shared by client and server.
 //! * `session` — a connection's session: WAL append, analysis under a
 //!   panic guard and a per-session budget, snapshots, resume from disk,
-//!   and the gate that bounds how many sessions are analysed at once.
-//! * [`supervise`] — typed session-failure reasons and the panic-guard /
-//!   resource-governor metrics.
-//! * [`stats`] — global counters behind the `Stats` frame.
+//!   the span buffer behind `--trace-dir`, and the gate that bounds how
+//!   many sessions are analysed at once.
+//! * [`supervise`] — typed session-failure reasons.
 //! * [`server`] — listeners, connection hardening (idle reaper, request
-//!   deadlines, frame limit), graceful drain.
-//! * [`tracesink`] — per-session causal-span collection behind
-//!   `--trace-dir` and the `TraceSnapshot` admin frame.
+//!   deadlines, frame limit), graceful drain, and the `ServerMetrics`
+//!   pack behind the `Stats` and `Metrics` frames.
 //! * [`client`] — the client library used by `arbalest submit` and tests.
 
 #![warn(missing_docs)]
@@ -32,11 +30,9 @@ pub mod client;
 pub mod proto;
 pub mod server;
 mod session;
-pub mod stats;
 pub mod supervise;
-pub mod tracesink;
 
 pub use client::Client;
 pub use proto::{Frame, ProtoError, StatsSnapshot, MAX_FRAME, WIRE_VERSION};
 pub use server::{ListenAddr, Server, ServerConfig};
-pub use supervise::{SessionFailure, SuperviseMetrics};
+pub use supervise::SessionFailure;

@@ -17,21 +17,23 @@
 //! mismatches fail fast with a typed error), streams `Events` batches —
 //! each acknowledged with `EventsAck` once the server has logged and
 //! analysed it — and closes with `Finish`, answered by `Reports`. `Stats`,
-//! `Metrics`, `TraceSnapshot` and `Shutdown` are admin frames any
-//! connection may send.
+//! `Metrics` and `Shutdown` are admin frames any connection may send.
 
 use crate::supervise::SessionFailure;
+use arbalest_obs::SpanContext;
 use arbalest_offload::report::Report;
 use arbalest_offload::trace::TraceEvent;
 use arbalest_offload::wire::{self, Cursor, WireError, REPORT_KIND_COUNT};
-use arbalest_obs::{SpanContext, SpanEvent};
 use std::io::{Read, Write};
 
 /// Version of the service protocol: the frame set and every payload,
 /// the event and report layouts included. `Hello` carries it, and a
 /// mismatch is refused before anything else is read. Version 2 retired
-/// `Busy` and dropped the busy count and queue depths from `StatsReply`.
-pub const WIRE_VERSION: u16 = 2;
+/// `Busy` and dropped the busy count and queue depths from `StatsReply`;
+/// version 3 retired `TraceSnapshot`/`TraceSnapshotReply`, put the
+/// session's durable event count in `HelloAck` in place of the shard
+/// count, and dropped the per-connection event count from `StatsReply`.
+pub const WIRE_VERSION: u16 = 3;
 
 /// Hard ceiling on one frame's length field (type byte + payload). A
 /// server may enforce a *lower* per-instance limit via
@@ -107,9 +109,6 @@ pub struct StatsSnapshot {
     /// [`wire::report_kind_tag`] (UUM, USD, BO, race, uninit, heap-BO,
     /// UAF).
     pub reports_by_kind: [u64; REPORT_KIND_COUNT],
-    /// Events fed so far to the *requesting* connection's session (0 when
-    /// the connection has no open session).
-    pub session_events: u64,
 }
 
 impl StatsSnapshot {
@@ -120,12 +119,7 @@ impl StatsSnapshot {
 
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        for v in [
-            self.sessions_started,
-            self.sessions_finished,
-            self.events_received,
-            self.session_events,
-        ] {
+        for v in [self.sessions_started, self.sessions_finished, self.events_received] {
             out.extend_from_slice(&v.to_le_bytes());
         }
         for v in self.reports_by_kind {
@@ -139,7 +133,6 @@ impl StatsSnapshot {
             sessions_started: cur.u64()?,
             sessions_finished: cur.u64()?,
             events_received: cur.u64()?,
-            session_events: cur.u64()?,
             ..Default::default()
         };
         for slot in s.reports_by_kind.iter_mut() {
@@ -181,17 +174,16 @@ pub enum Frame {
     /// Client → server: request the full metrics registry rendered as
     /// Prometheus text exposition format.
     Metrics,
-    /// Client → server: pull the server's recent span tree (the bounded
-    /// server-global span buffer) for remote trace inspection.
-    TraceSnapshot,
     /// Server → client: session opened.
     HelloAck {
         /// Server's wire version.
         version: u16,
-        /// How many sessions the server analyses at once.
-        shards: u16,
         /// Assigned session id.
         session: u64,
+        /// Events the session already holds: 0 for a fresh session, the
+        /// durable count for a resumed one, which is the index the next
+        /// submitted event should have.
+        events: u64,
     },
     /// Server → client: batch logged and analysed.
     EventsAck {
@@ -217,9 +209,6 @@ pub enum Frame {
     /// machine-readable, so clients and soak harnesses can assert the
     /// exact failure class.
     SessionFailed(SessionFailure),
-    /// Server → client: the server's recent spans (answer to
-    /// [`Frame::TraceSnapshot`]), oldest first.
-    TraceSnapshotReply(Vec<SpanEvent>),
 }
 
 impl Frame {
@@ -236,7 +225,6 @@ impl Frame {
             Frame::Stats => 0x04,
             Frame::Shutdown => 0x05,
             Frame::Metrics => 0x06,
-            Frame::TraceSnapshot => 0x09,
             Frame::HelloAck { .. } => 0x81,
             Frame::EventsAck { .. } => 0x82,
             Frame::Reports(_) => 0x84,
@@ -245,7 +233,6 @@ impl Frame {
             Frame::Error { .. } => 0x87,
             Frame::MetricsReply(_) => 0x88,
             Frame::SessionFailed(_) => 0x89,
-            Frame::TraceSnapshotReply(_) => 0x8C,
         }
     }
 
@@ -259,7 +246,6 @@ impl Frame {
             Frame::Stats => "stats",
             Frame::Shutdown => "shutdown",
             Frame::Metrics => "metrics",
-            Frame::TraceSnapshot => "trace_snapshot",
             Frame::HelloAck { .. } => "hello_ack",
             Frame::EventsAck { .. } => "events_ack",
             Frame::Reports(_) => "reports",
@@ -268,7 +254,6 @@ impl Frame {
             Frame::Error { .. } => "error",
             Frame::MetricsReply(_) => "metrics_reply",
             Frame::SessionFailed(_) => "session_failed",
-            Frame::TraceSnapshotReply(_) => "trace_snapshot_reply",
         }
     }
 
@@ -296,17 +281,14 @@ impl Frame {
                 }
                 out
             }
-            Frame::Finish
-            | Frame::Stats
-            | Frame::Shutdown
-            | Frame::Metrics
-            | Frame::TraceSnapshot
-            | Frame::Ok => Vec::new(),
-            Frame::HelloAck { version, shards, session } => {
-                let mut out = Vec::with_capacity(12);
+            Frame::Finish | Frame::Stats | Frame::Shutdown | Frame::Metrics | Frame::Ok => {
+                Vec::new()
+            }
+            Frame::HelloAck { version, session, events } => {
+                let mut out = Vec::with_capacity(18);
                 out.extend_from_slice(&version.to_le_bytes());
-                out.extend_from_slice(&shards.to_le_bytes());
                 out.extend_from_slice(&session.to_le_bytes());
+                out.extend_from_slice(&events.to_le_bytes());
                 out
             }
             Frame::EventsAck { accepted } => accepted.to_le_bytes().to_vec(),
@@ -325,11 +307,6 @@ impl Frame {
             Frame::SessionFailed(failure) => {
                 let mut out = Vec::new();
                 failure.encode(&mut out);
-                out
-            }
-            Frame::TraceSnapshotReply(events) => {
-                let mut out = Vec::new();
-                wire::encode_span_events(events, &mut out);
                 out
             }
         }
@@ -360,8 +337,9 @@ impl Frame {
             0x04 => Frame::Stats,
             0x05 => Frame::Shutdown,
             0x06 => Frame::Metrics,
-            0x09 => Frame::TraceSnapshot,
-            0x81 => Frame::HelloAck { version: cur.u16()?, shards: cur.u16()?, session: cur.u64()? },
+            0x81 => {
+                Frame::HelloAck { version: cur.u16()?, session: cur.u64()?, events: cur.u64()? }
+            }
             0x82 => Frame::EventsAck { accepted: cur.u32()? },
             0x84 => Frame::Reports(wire::decode_reports(&mut cur)?),
             0x85 => Frame::StatsReply(StatsSnapshot::decode(&mut cur)?),
@@ -369,7 +347,6 @@ impl Frame {
             0x87 => Frame::Error { message: cur.string()? },
             0x88 => Frame::MetricsReply(cur.string()?),
             0x89 => Frame::SessionFailed(SessionFailure::decode(&mut cur)?),
-            0x8C => Frame::TraceSnapshotReply(wire::decode_span_events(&mut cur)?),
             tag => return Err(WireError::BadTag { what: "Frame", tag }.into()),
         };
         if !cur.is_empty() {
@@ -528,7 +505,7 @@ mod tests {
             Frame::Stats,
             Frame::Shutdown,
             Frame::Metrics,
-            Frame::HelloAck { version: 1, shards: 4, session: 99 },
+            Frame::HelloAck { version: 1, session: 99, events: 4096 },
             Frame::EventsAck { accepted: 512 },
             Frame::Ok,
             Frame::Error { message: "no session open".into() },
@@ -570,29 +547,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_snapshot_frames_round_trip() {
-        let events = vec![arbalest_obs::SpanEvent {
-            name: arbalest_offload::events::SrcLoc::intern("wal_append", 0, 0).file,
-            tid: 3,
-            start_ns: 10,
-            dur_ns: 4,
-            trace: 1,
-            span: 2,
-            parent: 0,
-        }];
-        for f in [Frame::TraceSnapshot, Frame::TraceSnapshotReply(events)] {
-            assert_eq!(round_trip(f.clone()), f);
-        }
-    }
-
-    #[test]
     fn stats_snapshot_round_trips() {
         let snap = StatsSnapshot {
             sessions_started: 10,
             sessions_finished: 8,
             events_received: 12345,
             reports_by_kind: [1, 2, 3, 4, 5, 6, 7],
-            session_events: 77,
         };
         assert_eq!(snap.sessions_active(), 2);
         assert_eq!(round_trip(Frame::StatsReply(snap.clone())), Frame::StatsReply(snap));
@@ -641,7 +601,7 @@ mod tests {
         // Cut the stream at every byte offset inside a frame: each must
         // yield Truncated, never a hang or a decoded frame.
         let mut bytes = Vec::new();
-        Frame::HelloAck { version: 1, shards: 2, session: 3 }.write_to(&mut bytes).unwrap();
+        Frame::HelloAck { version: 1, session: 2, events: 3 }.write_to(&mut bytes).unwrap();
         for cut in 1..bytes.len() {
             let mut cursor = std::io::Cursor::new(&bytes[..cut]);
             let err = Frame::read_from(&mut cursor, &mut || true).unwrap_err();

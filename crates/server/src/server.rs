@@ -16,10 +16,12 @@
 //! time. A handler finishes the request it is serving, and the last one
 //! out signals a condvar.
 
-use crate::proto::{Frame, ProtoError, WIRE_VERSION};
+use crate::proto::{Frame, ProtoError, StatsSnapshot, WIRE_VERSION};
 use crate::session::{Analysis, Session};
 use arbalest_core::ArbalestConfig;
 use arbalest_obs::{Counter, Registry};
+use arbalest_offload::report::{Report, ReportKind};
+use arbalest_offload::wire::{report_kind_tag, REPORT_KIND_COUNT};
 use arbalest_sync::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -110,11 +112,13 @@ pub struct ServerConfig {
     /// Durability tuning (segment size, fsync policy, snapshot triggers,
     /// storage fault injection); only read when `data_dir` is set.
     pub store: arbalest_store::StoreConfig,
-    /// Per-session trace output directory. `Some` makes the server write
+    /// Per-session trace output directory. `Some` makes each session keep
+    /// its completed spans and the server write them to
     /// `session-<id>.json` (Chrome trace-event / Perfetto format) for
     /// every cleanly finished session whose client stamped its batches
-    /// with span contexts. `None` (default) still collects spans for the
-    /// `TraceSnapshot` frame but writes no files.
+    /// with span contexts. `None` (default) keeps no session's spans and
+    /// writes no files; the spans still reach the metrics registry's
+    /// flight recorder.
     pub trace_dir: Option<PathBuf>,
 }
 
@@ -133,6 +137,121 @@ impl Default for ServerConfig {
             data_dir: None,
             store: arbalest_store::StoreConfig::default(),
             trace_dir: None,
+        }
+    }
+}
+
+/// The client frame types counted in `arbalest_server_frames_total{type}`,
+/// in [`ServerMetrics::frames`] order.
+const CLIENT_FRAMES: [&str; 6] = ["hello", "events", "finish", "stats", "shutdown", "metrics"];
+
+/// The server's instrument pack: every `arbalest_server_*` series, built
+/// once per registry through [`Registry::state`], as the store's and the
+/// detector's packs are. The `Stats` frame's answer reads these cells, as
+/// does the Prometheus text a `Metrics` frame answers, so the two views
+/// cannot drift apart. Two error-labelled series are registered on first
+/// use instead, because their label is known only then:
+/// `arbalest_server_decode_errors_total{error}` and
+/// `arbalest_store_recovery_failures_total{error}`.
+#[derive(Debug)]
+pub(crate) struct ServerMetrics {
+    /// Sessions opened, fresh or resumed
+    /// (`arbalest_server_sessions_started_total`).
+    pub sessions_started: Counter,
+    /// Sessions closed by `Finish` or by their connection ending
+    /// (`arbalest_server_sessions_finished_total`).
+    pub sessions_finished: Counter,
+    /// Events logged and fed to a session's detector
+    /// (`arbalest_server_events_received_total`).
+    pub events_received: Counter,
+    /// Reports of cleanly finished sessions, indexed by
+    /// [`report_kind_tag`] (`arbalest_server_reports_total{kind}`).
+    pub reports_by_kind: [Counter; REPORT_KIND_COUNT],
+    /// Decoded client frames, in `CLIENT_FRAMES` order
+    /// (`arbalest_server_frames_total{type}`).
+    pub frames: [Counter; CLIENT_FRAMES.len()],
+    /// Bytes read off client connections
+    /// (`arbalest_server_rx_bytes_total`).
+    pub rx_bytes: Counter,
+    /// Sessions quarantined after a panic in their analysis
+    /// (`arbalest_server_sessions_quarantined_total{reason="panic"}`).
+    pub quarantined_panic: Counter,
+    /// Sessions quarantined over their byte budget
+    /// (`arbalest_server_sessions_quarantined_total{reason="budget"}`).
+    pub quarantined_budget: Counter,
+    /// Evict-to-May degradations by the resource governor
+    /// (`arbalest_server_budget_evictions_total`).
+    pub budget_evictions: Counter,
+    /// Events refused because their session was already quarantined
+    /// (`arbalest_server_quarantined_events_dropped_total`).
+    pub events_dropped: Counter,
+    /// Spans refused by a traced session's full buffer
+    /// (`arbalest_server_trace_spans_dropped_total`).
+    pub spans_dropped: Counter,
+    /// Accept-loop failures (`arbalest_server_accept_errors_total`).
+    pub accept_errors: Counter,
+    /// Shutdowns whose drain deadline fired with connections still in
+    /// flight (`arbalest_server_forced_aborts_total`).
+    pub forced_aborts: Counter,
+    /// Connections reaped after the idle limit
+    /// (`arbalest_server_connections_reaped_total{reason="idle"}`).
+    pub reaped_idle: Counter,
+    /// Connections reaped mid-frame past the request deadline
+    /// (`arbalest_server_connections_reaped_total{reason="deadline"}`).
+    pub reaped_deadline: Counter,
+}
+
+impl ServerMetrics {
+    /// Register the pack in `reg` (all no-ops on a disabled registry).
+    pub fn new(reg: &Registry) -> ServerMetrics {
+        let counter = |name| reg.counter(name, &[]);
+        let quarantined = |reason| {
+            reg.counter("arbalest_server_sessions_quarantined_total", &[("reason", reason)])
+        };
+        let reaped =
+            |reason| reg.counter("arbalest_server_connections_reaped_total", &[("reason", reason)]);
+        ServerMetrics {
+            sessions_started: counter("arbalest_server_sessions_started_total"),
+            sessions_finished: counter("arbalest_server_sessions_finished_total"),
+            events_received: counter("arbalest_server_events_received_total"),
+            reports_by_kind: ReportKind::ALL
+                .map(|k| reg.counter("arbalest_server_reports_total", &[("kind", k.label())])),
+            frames: CLIENT_FRAMES
+                .map(|ty| reg.counter("arbalest_server_frames_total", &[("type", ty)])),
+            rx_bytes: counter("arbalest_server_rx_bytes_total"),
+            quarantined_panic: quarantined("panic"),
+            quarantined_budget: quarantined("budget"),
+            budget_evictions: counter("arbalest_server_budget_evictions_total"),
+            events_dropped: counter("arbalest_server_quarantined_events_dropped_total"),
+            spans_dropped: counter("arbalest_server_trace_spans_dropped_total"),
+            accept_errors: counter("arbalest_server_accept_errors_total"),
+            forced_aborts: counter("arbalest_server_forced_aborts_total"),
+            reaped_idle: reaped("idle"),
+            reaped_deadline: reaped("deadline"),
+        }
+    }
+
+    /// Count one decoded client frame; server-role frames are not counted.
+    fn count_frame(&self, frame: &Frame) {
+        if let Some(i) = CLIENT_FRAMES.iter().position(|&ty| ty == frame.label()) {
+            self.frames[i].inc();
+        }
+    }
+
+    /// Fold a finished session's findings into the per-kind counters.
+    pub(crate) fn count_reports(&self, reports: &[Report]) {
+        for r in reports {
+            self.reports_by_kind[report_kind_tag(r.kind) as usize].inc();
+        }
+    }
+
+    /// The `Stats` frame's answer.
+    fn snapshot(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            sessions_started: self.sessions_started.get(),
+            sessions_finished: self.sessions_finished.get(),
+            events_received: self.events_received.get(),
+            reports_by_kind: self.reports_by_kind.each_ref().map(Counter::get),
         }
     }
 }
@@ -223,56 +342,12 @@ struct Shared {
     /// Signalled when stop is requested and when the last connection
     /// leaves `conns`.
     conns_changed: Condvar,
-    /// What every connection's session shares.
+    /// What every connection's session shares, the metrics pack included.
     analysis: Analysis,
-    wire_metrics: WireMetrics,
     /// Connection-hardening knobs, copied out of the `ServerConfig`.
     idle_timeout: Duration,
     request_deadline: Duration,
     max_frame: u32,
-    /// Accept-loop failures (`arbalest_server_accept_errors_total`).
-    accept_errors: Counter,
-    /// Shutdowns whose drain deadline fired with work still in flight
-    /// (`arbalest_server_forced_aborts_total`).
-    forced_aborts: Counter,
-    /// Connections reaped by the idle/deadline watchdog, by reason
-    /// (`arbalest_server_connections_reaped_total{reason}`).
-    reaped_idle: Counter,
-    reaped_deadline: Counter,
-}
-
-/// Wire-layer counters shared by every connection handler.
-struct WireMetrics {
-    /// Decoded client frames, labelled by frame type.
-    frames: [(&'static str, Counter); 7],
-    /// Bytes read off client connections.
-    rx_bytes: Counter,
-}
-
-impl WireMetrics {
-    fn new(reg: &Registry) -> WireMetrics {
-        let c = |ty| reg.counter("arbalest_server_frames_total", &[("type", ty)]);
-        WireMetrics {
-            frames: [
-                "hello",
-                "events",
-                "finish",
-                "stats",
-                "shutdown",
-                "metrics",
-                "trace_snapshot",
-            ]
-            .map(|ty| (ty, c(ty))),
-            rx_bytes: reg.counter("arbalest_server_rx_bytes_total", &[]),
-        }
-    }
-
-    fn count_frame(&self, frame: &Frame) {
-        let label = frame.label();
-        if let Some((_, counter)) = self.frames.iter().find(|(ty, _)| *ty == label) {
-            counter.inc();
-        }
-    }
 }
 
 /// The connection watchdog's clocks for one frame. Until the first byte
@@ -322,7 +397,7 @@ impl Read for FrameReader<'_> {
         if n > 0 && self.clock.first_byte.get().is_none() {
             self.clock.first_byte.set(Some(Instant::now()));
         }
-        self.shared.wire_metrics.rx_bytes.add(n as u64);
+        self.shared.analysis.metrics.rx_bytes.add(n as u64);
         Ok(n)
     }
 }
@@ -409,26 +484,16 @@ impl Server {
             }
         };
 
-        let analysis = Analysis::new(&cfg)?;
-        let registry = &analysis.registry;
-        let reaped = |reason| {
-            registry.counter("arbalest_server_connections_reaped_total", &[("reason", reason)])
-        };
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             accept_woken: OnceLock::new(),
             local_addr,
             conns: Mutex::new(HashMap::new()),
             conns_changed: Condvar::new(),
-            wire_metrics: WireMetrics::new(registry),
+            analysis: Analysis::new(&cfg)?,
             idle_timeout: cfg.idle_timeout,
             request_deadline: cfg.request_deadline,
             max_frame: cfg.max_frame,
-            accept_errors: registry.counter("arbalest_server_accept_errors_total", &[]),
-            forced_aborts: registry.counter("arbalest_server_forced_aborts_total", &[]),
-            reaped_idle: reaped("idle"),
-            reaped_deadline: reaped("deadline"),
-            analysis,
         });
 
         let accept_shared = shared.clone();
@@ -483,7 +548,7 @@ impl Server {
                 // The drain deadline fired with handlers still in flight:
                 // record the forced abort so operators can tell "clean
                 // drain" from "gave up waiting".
-                self.shared.forced_aborts.inc();
+                self.shared.analysis.metrics.forced_aborts.inc();
                 break;
             }
             self.shared.conns_changed.wait_for(&mut conns, left);
@@ -521,7 +586,7 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
         }
         let Ok((clone, stream)) = accepted else {
             drop(conns);
-            shared.accept_errors.inc();
+            shared.analysis.metrics.accept_errors.inc();
             std::thread::sleep(backoff);
             backoff = (backoff * 2).min(MAX_BACKOFF);
             continue;
@@ -580,7 +645,7 @@ fn handle_connection(mut stream: Stream, shared: &Shared) {
                 // it may be gone) before the close; its session is aborted
                 // below like any disconnect.
                 Some(ReapReason::Idle) => {
-                    shared.reaped_idle.inc();
+                    a.metrics.reaped_idle.inc();
                     let failure = crate::supervise::SessionFailure::IdleTimeout {
                         limit_ms: shared.idle_timeout.as_millis() as u64,
                     };
@@ -588,7 +653,7 @@ fn handle_connection(mut stream: Stream, shared: &Shared) {
                     break;
                 }
                 Some(ReapReason::Deadline) => {
-                    shared.reaped_deadline.inc();
+                    a.metrics.reaped_deadline.inc();
                     let failure = crate::supervise::SessionFailure::DeadlineExceeded {
                         limit_ms: shared.request_deadline.as_millis() as u64,
                     };
@@ -613,7 +678,7 @@ fn handle_connection(mut stream: Stream, shared: &Shared) {
                 break;
             }
         };
-        shared.wire_metrics.count_frame(&frame);
+        a.metrics.count_frame(&frame);
 
         let reply = match frame {
             Frame::Hello { version, resume } => {
@@ -630,8 +695,8 @@ fn handle_connection(mut stream: Stream, shared: &Shared) {
                         Ok(opened) => {
                             let ack = Frame::HelloAck {
                                 version: WIRE_VERSION,
-                                shards: a.width() as u16,
                                 session: opened.id,
+                                events: opened.events,
                             };
                             session = Some(opened);
                             ack
@@ -648,11 +713,8 @@ fn handle_connection(mut stream: Stream, shared: &Shared) {
                 None => Frame::error("Finish before Hello"),
                 Some(s) => s.finish(a),
             },
-            Frame::Stats => {
-                Frame::StatsReply(a.stats.snapshot(session.as_ref().map_or(0, |s| s.events)))
-            }
+            Frame::Stats => Frame::StatsReply(a.metrics.snapshot()),
             Frame::Metrics => Frame::MetricsReply(a.registry.snapshot().to_prometheus()),
-            Frame::TraceSnapshot => Frame::TraceSnapshotReply(a.sink.recent()),
             Frame::Shutdown => {
                 let _ = Frame::Ok.write_to(&mut stream);
                 shared.request_stop();
@@ -667,8 +729,7 @@ fn handle_connection(mut stream: Stream, shared: &Shared) {
             | Frame::Ok
             | Frame::Error { .. }
             | Frame::MetricsReply(_)
-            | Frame::SessionFailed(_)
-            | Frame::TraceSnapshotReply(_) => Frame::error("client sent a server-role frame"),
+            | Frame::SessionFailed(_) => Frame::error("client sent a server-role frame"),
         };
         if reply.write_to(&mut stream).is_err() {
             break;
@@ -680,5 +741,26 @@ fn handle_connection(mut stream: Stream, shared: &Shared) {
     // rebuilds from.
     if let Some(s) = session {
         s.abort(a);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stats_and_registry_share_cells() {
+        let reg = Registry::new();
+        let metrics = reg.state(ServerMetrics::new);
+        metrics.sessions_started.inc();
+        metrics.events_received.add(42);
+        metrics.count_frame(&Frame::Stats);
+        metrics.count_frame(&Frame::Ok);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("arbalest_server_sessions_started_total", &[]), Some(1));
+        assert_eq!(snap.counter("arbalest_server_events_received_total", &[]), Some(42));
+        assert_eq!(snap.counter("arbalest_server_frames_total", &[("type", "stats")]), Some(1));
+        let stats = metrics.snapshot();
+        assert_eq!((stats.sessions_started, stats.events_received), (1, 42));
     }
 }

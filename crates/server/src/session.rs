@@ -2,6 +2,13 @@
 //! analysed on the connection's own thread under a panic guard and a
 //! per-session memory budget.
 //!
+//! A traced batch's spans (`client_submit` root, `wal_append` and
+//! `shard_job` children, `detector_feed` grandchild) go to the metrics
+//! registry's flight recorder. With a trace directory configured, the
+//! session also keeps them, up to [`SESSION_SPAN_CAP`] (further ones are
+//! counted in `arbalest_server_trace_spans_dropped_total`), and writes
+//! its tree out as one Chrome trace file at a clean finish.
+//!
 //! All events of a session arrive on one connection, so analysing each
 //! batch on that connection's thread keeps them in arrival order (the
 //! property the VSM needs) with no queue between the socket and the
@@ -32,10 +39,8 @@
 //!   by construction and the server refuses to pass them off as sound.
 
 use crate::proto::Frame;
-use crate::server::ServerConfig;
-use crate::stats::GlobalStats;
-use crate::supervise::{panic_message, SessionFailure, SuperviseMetrics};
-use crate::tracesink::TraceSink;
+use crate::server::{ServerConfig, ServerMetrics};
+use crate::supervise::{panic_message, SessionFailure};
 use arbalest_core::session::AnalysisSession;
 use arbalest_core::ArbalestConfig;
 use arbalest_obs::{Registry, Span, SpanContext, SpanEvent, SpanName};
@@ -50,9 +55,12 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+/// Spans a traced session keeps before further ones are dropped (and
+/// counted).
+const SESSION_SPAN_CAP: usize = 4096;
+
 /// A counting gate: at most `width` holders at once.
 pub(crate) struct Gate {
-    width: usize,
     free: Mutex<usize>,
     freed: Condvar,
 }
@@ -62,7 +70,7 @@ struct GateSlot<'a>(&'a Gate);
 
 impl Gate {
     fn new(width: usize) -> Gate {
-        Gate { width, free: Mutex::new(width), freed: Condvar::new() }
+        Gate { free: Mutex::new(width), freed: Condvar::new() }
     }
 
     fn enter(&self) -> GateSlot<'_> {
@@ -93,12 +101,12 @@ struct Names {
 }
 
 /// What every connection's session shares: configuration, the gate, the
-/// store, counters and span collection.
+/// store and the metrics.
 pub(crate) struct Analysis {
     detector: ArbalestConfig,
     pub(crate) registry: Registry,
+    pub(crate) metrics: Arc<ServerMetrics>,
     gate: Gate,
-    pub(crate) stats: GlobalStats,
     /// Durable-session store; `None` when `data_dir` is unset. Shared
     /// with the sessions' snapshot writers.
     store: Option<Arc<Store>>,
@@ -106,13 +114,11 @@ pub(crate) struct Analysis {
     /// refused: two writers on one WAL would interleave.
     attached: Mutex<HashSet<u64>>,
     next_id: AtomicU64,
-    pub(crate) sink: TraceSink,
     trace_dir: Option<PathBuf>,
     max_session_bytes: u64,
     /// Injected analysis faults ([`FaultSite::ShardPanic`],
     /// [`FaultSite::BudgetPressure`]) for chaos soaks.
     plan: FaultPlan,
-    sup: SuperviseMetrics,
     names: Names,
 }
 
@@ -140,16 +146,14 @@ impl Analysis {
         let name = |n| registry.span_name(n);
         Ok(Analysis {
             detector: cfg.detector.clone(),
+            metrics: registry.state(ServerMetrics::new),
             gate: Gate::new(cfg.shards.clamp(1, 64)),
-            stats: GlobalStats::new(&registry),
             store,
             attached: Mutex::new(HashSet::new()),
             next_id: AtomicU64::new(next_id),
-            sink: TraceSink::new(&registry),
             trace_dir: cfg.trace_dir.clone(),
             max_session_bytes: cfg.max_session_bytes,
             plan: FaultPlan::new(cfg.faults),
-            sup: SuperviseMetrics::new(&registry),
             names: Names {
                 client_submit: name("client_submit"),
                 wal_append: name("wal_append"),
@@ -159,11 +163,6 @@ impl Analysis {
             },
             registry,
         })
-    }
-
-    /// How many sessions are analysed at once.
-    pub(crate) fn width(&self) -> usize {
-        self.gate.width
     }
 
     /// Open a fresh session (`resume: None`), or rebuild a durable one from
@@ -208,7 +207,7 @@ impl Analysis {
             ),
             None => None,
         };
-        self.stats.sessions_started.inc();
+        self.metrics.sessions_started.inc();
         Ok(Session {
             id,
             state: State::Live(Box::new(Live { detector, peak_bytes: 0 })),
@@ -243,7 +242,7 @@ impl Analysis {
     /// [`SessionFailure::ShardPanic`], counted as a quarantine.
     fn guarded<T>(&self, f: impl FnOnce() -> T) -> Result<T, SessionFailure> {
         std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
-            self.sup.quarantined_panic.inc();
+            self.metrics.quarantined_panic.inc();
             SessionFailure::ShardPanic { message: panic_message(payload.as_ref()) }
         })
     }
@@ -266,15 +265,15 @@ impl Analysis {
         if live.detector.degraded() {
             // Eviction already ran and the session is over budget again (or
             // chaos keeps the pressure on): degradation has failed to cure it.
-            self.sup.quarantined_budget.inc();
+            self.metrics.quarantined_budget.inc();
             return Some(SessionFailure::BudgetExceeded { used_bytes: used, budget_bytes: budget });
         }
         // First breach: shed side-table memory and keep serving in May mode.
         live.detector.evict_to_may();
-        self.sup.budget_evictions.inc();
+        self.metrics.budget_evictions.inc();
         let after = live.detector.side_table_bytes();
         if budget > 0 && after > budget {
-            self.sup.quarantined_budget.inc();
+            self.metrics.quarantined_budget.inc();
             return Some(SessionFailure::BudgetExceeded { used_bytes: after, budget_bytes: budget });
         }
         None
@@ -283,7 +282,7 @@ impl Analysis {
     /// The session left its connection: count it finished and let it be
     /// resumed.
     fn close(&self, id: u64) {
-        self.stats.sessions_finished.inc();
+        self.metrics.sessions_finished.inc();
         self.attached.lock().remove(&id);
     }
 
@@ -329,7 +328,8 @@ pub(crate) struct Session {
     writer: Option<JoinHandle<Option<SpanEvent>>>,
     /// Events fed so far, counting those recovered on resume.
     pub(crate) events: u64,
-    /// The session's completed spans, written out at a clean finish.
+    /// The session's completed spans, kept only with a trace directory
+    /// and written out at a clean finish.
     spans: Vec<SpanEvent>,
 }
 
@@ -344,7 +344,7 @@ impl Session {
     ) -> Frame {
         if let State::Quarantined(failure) = &self.state {
             // Batches of a quarantined session are refused, never analysed.
-            a.sup.events_dropped.add(events.len() as u64);
+            a.metrics.events_dropped.add(events.len() as u64);
             return Frame::SessionFailed(failure.clone());
         }
         // A traced batch: re-record the client-minted context verbatim
@@ -375,7 +375,7 @@ impl Session {
             }
         }
         let accepted = events.len() as u64;
-        a.stats.events_received.add(accepted);
+        a.metrics.events_received.add(accepted);
         self.events += accepted;
 
         let job = root.map(|c| a.registry.span_child(a.names.shard_job, c));
@@ -455,9 +455,17 @@ impl Session {
         }
     }
 
+    /// Keep a completed span for the session's trace file, while the
+    /// buffer has room; without a trace directory nothing reads it.
     fn record(&mut self, a: &Analysis, ev: Option<SpanEvent>) {
-        if let Some(ev) = ev {
-            a.sink.record(&mut self.spans, ev);
+        let Some(ev) = ev else { return };
+        if a.trace_dir.is_none() {
+            return;
+        }
+        if self.spans.len() < SESSION_SPAN_CAP {
+            self.spans.push(ev);
+        } else {
+            a.metrics.spans_dropped.inc();
         }
     }
 
@@ -482,7 +490,7 @@ impl Session {
         };
         let reply = match result {
             Ok(reports) => {
-                a.stats.count_reports(&reports);
+                a.metrics.count_reports(&reports);
                 if let Some(store) = &a.store {
                     let _ = store.remove_session(id);
                 }
@@ -538,7 +546,7 @@ mod tests {
         assert_eq!(victim.feed(&a, &[pool_alloc_event(2)], None), reply);
         assert_eq!(victim.finish(&a), reply);
         assert_eq!(innocent.finish(&a), Frame::Reports(Vec::new()));
-        assert_eq!(a.stats.sessions_finished.get(), 2);
+        assert_eq!(a.metrics.sessions_finished.get(), 2);
     }
 
     /// A trace whose replay makes shadow pages resident, so the session
@@ -570,5 +578,33 @@ mod tests {
             matches!(reply, Frame::SessionFailed(SessionFailure::BudgetExceeded { budget_bytes: 1, .. })),
             "{reply:?}"
         );
+    }
+
+    #[test]
+    fn session_buffer_is_bounded_and_drops_are_counted() {
+        let a = analysis(ServerConfig {
+            trace_dir: Some(std::env::temp_dir().join("arbalest-unwritten-traces")),
+            ..Default::default()
+        });
+        let mut session = a.open(None).expect("open");
+        for i in 0..(SESSION_SPAN_CAP as u64 + 10) {
+            let ev = SpanEvent {
+                name: "test",
+                tid: 0,
+                start_ns: i,
+                dur_ns: 1,
+                trace: u128::from(i) + 1,
+                span: i + 1,
+                parent: 0,
+            };
+            session.record(&a, Some(ev));
+        }
+        assert_eq!(session.spans.len(), SESSION_SPAN_CAP);
+        assert_eq!(
+            a.registry.snapshot().counter("arbalest_server_trace_spans_dropped_total", &[]),
+            Some(10)
+        );
+        // Aborted, not finished: no trace file is written.
+        session.abort(&a);
     }
 }

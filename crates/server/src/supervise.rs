@@ -1,11 +1,12 @@
-//! Supervision and resource governance for the analysis service.
+//! Typed session failures for the analysis service.
 //!
-//! PR 1 made the *offload runtime* fault-tolerant; this module does the
-//! same for the *service*: it defines the typed reasons a server may
-//! terminate a session ([`SessionFailure`] — carried on the wire by
-//! `Frame::SessionFailed`), and the observability handles for the panic
-//! guard (quarantine) and the per-session resource governor (evict-to-May
-//! degradation, budget termination).
+//! The offload runtime is fault-tolerant; this module does the same for
+//! the *service*: it defines the typed reasons a server may terminate a
+//! session ([`SessionFailure`] — carried on the wire by
+//! `Frame::SessionFailed`). The panic guard (quarantine) and the
+//! per-session resource governor (evict-to-May degradation, budget
+//! termination) that raise them live in the session, and count into the
+//! server's metrics pack (`ServerMetrics`).
 //!
 //! The session lifecycle under supervision:
 //!
@@ -23,7 +24,6 @@
 //! the typed failure. Other sessions are analysed on their own
 //! connections' threads and are untouched.
 
-use arbalest_obs::{Counter, Registry};
 use arbalest_offload::wire::{self, Cursor, WireError};
 
 /// Why the server terminated a session (or connection) on its own
@@ -121,36 +121,6 @@ impl std::fmt::Display for SessionFailure {
             SessionFailure::DeadlineExceeded { limit_ms } => {
                 write!(f, "request exceeded the {limit_ms} ms deadline")
             }
-        }
-    }
-}
-
-/// Registry-backed counters for the panic guard and resource governor.
-#[derive(Debug, Clone)]
-pub struct SuperviseMetrics {
-    /// Sessions quarantined, by reason
-    /// (`arbalest_server_sessions_quarantined_total{reason}`).
-    pub quarantined_panic: Counter,
-    /// Budget-reason leg of the quarantine counter family.
-    pub quarantined_budget: Counter,
-    /// Evict-to-May degradations performed by the governor
-    /// (`arbalest_server_budget_evictions_total`).
-    pub budget_evictions: Counter,
-    /// Events refused because their session was already quarantined
-    /// (`arbalest_server_quarantined_events_dropped_total`).
-    pub events_dropped: Counter,
-}
-
-impl SuperviseMetrics {
-    /// Register the supervision counters in `reg`.
-    pub fn new(reg: &Registry) -> SuperviseMetrics {
-        SuperviseMetrics {
-            quarantined_panic: reg
-                .counter("arbalest_server_sessions_quarantined_total", &[("reason", "panic")]),
-            quarantined_budget: reg
-                .counter("arbalest_server_sessions_quarantined_total", &[("reason", "budget")]),
-            budget_evictions: reg.counter("arbalest_server_budget_evictions_total", &[]),
-            events_dropped: reg.counter("arbalest_server_quarantined_events_dropped_total", &[]),
         }
     }
 }

@@ -102,10 +102,9 @@ fn kill_and_recover_every_dracc_case_at_seeded_offsets() {
     for (id, events, cut) in pending {
         let expected = in_process(&events);
         let mut client = Client::connect(&addr).expect("connect");
-        client.hello_resume(Some(id)).expect("resume");
-        let stats = client.stats().expect("stats");
+        let recovered = client.resume(id).expect("resume");
         assert_eq!(
-            stats.session_events, cut as u64,
+            recovered, cut as u64,
             "session {id}: recovered event count must equal the acked prefix"
         );
         for batch in events[cut..].chunks(32) {
@@ -146,9 +145,9 @@ fn live_reconnect_resumes_from_the_wal() {
     // guard still held. Retry briefly, as a real client would.
     let mut client = Client::connect(&addr).expect("reconnect");
     let mut attempts = 0;
-    loop {
-        match client.hello_resume(Some(id)) {
-            Ok(_) => break,
+    let recovered = loop {
+        match client.resume(id) {
+            Ok(events) => break events,
             Err(e) if attempts < 50 => {
                 assert!(matches!(e, arbalest_server::ProtoError::Remote(_)), "{e:?}");
                 attempts += 1;
@@ -157,8 +156,8 @@ fn live_reconnect_resumes_from_the_wal() {
             }
             Err(e) => panic!("resume never succeeded: {e:?}"),
         }
-    }
-    assert_eq!(client.stats().expect("stats").session_events, cut as u64);
+    };
+    assert_eq!(recovered, cut as u64, "recovered event count must equal the acked prefix");
     for batch in events[cut..].chunks(16) {
         client.send_events(batch).expect("send tail");
     }
@@ -209,12 +208,15 @@ fn a_resumed_session_rebuilds_from_its_last_snapshot() {
 
     let mut client = Client::connect(&addr).expect("reconnect");
     let mut attempts = 0;
-    while let Err(e) = client.hello_resume(Some(id)) {
-        assert!(attempts < 50 && matches!(e, ProtoError::Remote(_)), "{e:?}");
+    let recovered = loop {
+        match client.resume(id) {
+            Ok(events) => break events,
+            Err(e) => assert!(attempts < 50 && matches!(e, ProtoError::Remote(_)), "{e:?}"),
+        }
         attempts += 1;
         std::thread::sleep(Duration::from_millis(20));
         client = Client::connect(&addr).expect("reconnect retry");
-    }
+    };
     let names: Vec<String> = std::fs::read_dir(data_dir.join("sessions").join(id.to_string()))
         .expect("session dir")
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
@@ -223,7 +225,7 @@ fn a_resumed_session_rebuilds_from_its_last_snapshot() {
     assert!(!names.iter().any(|n| n.ends_with(".tmp")), "{names:?}");
     let prom = client.metrics().expect("metrics");
     assert!(prom_value(&prom, "arbalest_store_snapshots_total") >= 2, "{prom}");
-    assert_eq!(client.stats().expect("stats").session_events, cut as u64);
+    assert_eq!(recovered, cut as u64, "recovered event count must equal the acked prefix");
     for batch in events[cut..].chunks(16) {
         client.send_events(batch).expect("send tail");
     }
@@ -244,7 +246,7 @@ fn double_attach_is_refused() {
     let id = first.hello().expect("hello");
 
     let mut second = Client::connect(&addr).expect("connect");
-    let err = second.hello_resume(Some(id)).expect_err("attached session must refuse resume");
+    let err = second.resume(id).expect_err("attached session must refuse resume");
     assert!(matches!(err, arbalest_server::ProtoError::Remote(_)), "{err:?}");
     server.stop();
     let _ = std::fs::remove_dir_all(&data_dir);
@@ -288,7 +290,7 @@ fn storeless_resume_never_attaches() {
         let mut retry = Client::connect(&addr).expect("reconnect");
         let retry_until = Instant::now() + Duration::from_millis(100);
         while Instant::now() < retry_until {
-            let err = retry.hello_resume(Some(id)).expect_err("storeless resume attached");
+            let err = retry.resume(id).expect_err("storeless resume attached");
             assert!(
                 matches!(&err, ProtoError::Remote(m) if m.contains("serve --data-dir")),
                 "{err:?}"
@@ -326,7 +328,7 @@ fn a_resumed_session_is_rebuilt_once_and_counted_once() {
         prom_value(&c.metrics().expect("metrics"), "arbalest_store_recovered_sessions_total")
     };
     assert_eq!(recovered(&mut client), 0, "boot rebuilt a session nobody resumed");
-    client.hello_resume(Some(id)).expect("resume");
+    assert_eq!(client.resume(id).expect("resume"), cut as u64);
     assert_eq!(recovered(&mut client), 1);
     for batch in events[cut..].chunks(16) {
         client.send_events(batch).expect("send tail");
@@ -358,7 +360,7 @@ fn failed_recovery_is_counted_and_fresh_ids_skip_the_disk() {
     }
     let server = durable_server(&data_dir, 1);
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let err = client.hello_resume(Some(5)).expect_err("a gapped log must not resume");
+    let err = client.resume(5).expect_err("a gapped log must not resume");
     assert!(matches!(&err, ProtoError::Remote(m) if m.contains("gap")), "{err:?}");
     let prom = client.metrics().expect("metrics");
     assert!(

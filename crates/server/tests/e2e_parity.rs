@@ -223,6 +223,62 @@ fn stats_frame_and_prometheus_export_agree() {
     server.stop();
 }
 
+/// Every `arbalest_server_*` series a started server registers up front,
+/// written out so that no series is dropped or renamed unnoticed. The
+/// decode-error family (`{error}` label) is registered on its first use,
+/// so a clean session leaves it out.
+#[test]
+fn a_session_leaves_exactly_the_server_series() {
+    let reg = arbalest_obs::Registry::new();
+    let server = Server::start(
+        &ListenAddr::Tcp("127.0.0.1:0".into()),
+        ServerConfig { shards: 1, metrics: reg.clone(), ..ServerConfig::default() },
+    )
+    .expect("bind");
+    let events = record(&arbalest_dracc::by_id(22).expect("DRACC 22"));
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.submit(&events).expect("submit");
+    server.stop();
+
+    let snap = reg.snapshot();
+    let mut got: Vec<String> = (snap.counters.iter().map(|(id, _)| id))
+        .chain(snap.gauges.iter().map(|(id, _)| id))
+        .chain(snap.histograms.iter().map(|(id, _)| id))
+        .filter(|id| id.name.starts_with("arbalest_server_"))
+        .map(|id| id.render())
+        .collect();
+    got.sort();
+    let want = [
+        "arbalest_server_accept_errors_total",
+        "arbalest_server_budget_evictions_total",
+        r#"arbalest_server_connections_reaped_total{reason="deadline"}"#,
+        r#"arbalest_server_connections_reaped_total{reason="idle"}"#,
+        "arbalest_server_events_received_total",
+        "arbalest_server_forced_aborts_total",
+        r#"arbalest_server_frames_total{type="events"}"#,
+        r#"arbalest_server_frames_total{type="finish"}"#,
+        r#"arbalest_server_frames_total{type="hello"}"#,
+        r#"arbalest_server_frames_total{type="metrics"}"#,
+        r#"arbalest_server_frames_total{type="shutdown"}"#,
+        r#"arbalest_server_frames_total{type="stats"}"#,
+        "arbalest_server_quarantined_events_dropped_total",
+        r#"arbalest_server_reports_total{kind="data-race"}"#,
+        r#"arbalest_server_reports_total{kind="heap-overflow"}"#,
+        r#"arbalest_server_reports_total{kind="mapping-issue(BO)"}"#,
+        r#"arbalest_server_reports_total{kind="mapping-issue(USD)"}"#,
+        r#"arbalest_server_reports_total{kind="mapping-issue(UUM)"}"#,
+        r#"arbalest_server_reports_total{kind="uninit-read"}"#,
+        r#"arbalest_server_reports_total{kind="use-after-free"}"#,
+        "arbalest_server_rx_bytes_total",
+        "arbalest_server_sessions_finished_total",
+        r#"arbalest_server_sessions_quarantined_total{reason="budget"}"#,
+        r#"arbalest_server_sessions_quarantined_total{reason="panic"}"#,
+        "arbalest_server_sessions_started_total",
+        "arbalest_server_trace_spans_dropped_total",
+    ];
+    assert_eq!(got, want);
+}
+
 #[test]
 fn protocol_misuse_yields_remote_errors_not_hangs() {
     let server = start_server(1);

@@ -36,11 +36,8 @@ pub struct StoreConfig {
     pub segment_bytes: u64,
     /// When WAL bytes reach stable storage relative to appends.
     pub fsync: FsyncPolicy,
-    /// Snapshot a session after this many WAL bytes since the last
-    /// snapshot (0 disables the byte trigger).
-    pub snapshot_every_bytes: u64,
     /// Snapshot a session after this many events since the last snapshot
-    /// (0 disables the event trigger).
+    /// (0 disables snapshots).
     pub snapshot_every_events: u64,
     /// Deterministic storage-fault injection (tests and chaos soaks).
     pub faults: FaultConfig,
@@ -51,7 +48,6 @@ impl Default for StoreConfig {
         StoreConfig {
             segment_bytes: 8 << 20,
             fsync: FsyncPolicy::default(),
-            snapshot_every_bytes: 0,
             snapshot_every_events: 0,
             faults: FaultConfig::disabled(),
         }
@@ -82,12 +78,10 @@ pub struct RecoveredSession {
 }
 
 /// The per-session append handle: a [`WalWriter`] plus the since-last-
-/// snapshot counters that drive [`SessionLog::snapshot_due`].
+/// snapshot event count that drives [`SessionLog::snapshot_due`].
 pub struct SessionLog {
     wal: WalWriter,
-    every_bytes: u64,
     every_events: u64,
-    since_bytes: u64,
     since_events: u64,
 }
 
@@ -95,8 +89,7 @@ impl SessionLog {
     /// Append one batch; the batch may be acked to the client only after
     /// this returns `Ok`.
     pub fn append(&mut self, events: &[TraceEvent]) -> Result<(), StoreError> {
-        let bytes = self.wal.append(events)?;
-        self.since_bytes += bytes;
+        self.wal.append(events)?;
         self.since_events += events.len() as u64;
         Ok(())
     }
@@ -106,16 +99,14 @@ impl SessionLog {
         self.wal.events_appended()
     }
 
-    /// Whether a configured snapshot trigger has fired since the last
+    /// Whether the snapshot trigger has fired since the last
     /// [`SessionLog::mark_snapshot`].
     pub fn snapshot_due(&self) -> bool {
-        (self.every_bytes > 0 && self.since_bytes >= self.every_bytes)
-            || (self.every_events > 0 && self.since_events >= self.every_events)
+        self.every_events > 0 && self.since_events >= self.every_events
     }
 
-    /// Reset the snapshot triggers (call after a successful snapshot).
+    /// Reset the snapshot trigger (call after a successful snapshot).
     pub fn mark_snapshot(&mut self) {
-        self.since_bytes = 0;
         self.since_events = 0;
     }
 
@@ -190,13 +181,7 @@ impl Store {
             self.cfg.faults,
             self.metrics.clone(),
         )?;
-        Ok(SessionLog {
-            wal,
-            every_bytes: self.cfg.snapshot_every_bytes,
-            every_events: self.cfg.snapshot_every_events,
-            since_bytes: 0,
-            since_events: 0,
-        })
+        Ok(SessionLog { wal, every_events: self.cfg.snapshot_every_events, since_events: 0 })
     }
 
     /// Atomically persist a snapshot (temp file + rename + fsync) under

@@ -39,7 +39,7 @@ use crate::metrics::StoreMetrics;
 use crate::StoreError;
 use arbalest_offload::fault::{FaultConfig, FaultOutcome, FaultPlan, FaultSite};
 use arbalest_offload::trace::TraceEvent;
-use arbalest_offload::wire::{self, Cursor, WireError};
+use arbalest_offload::wire::{self, Cursor};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -376,15 +376,6 @@ fn scan_segment(
     }
 }
 
-fn decode_batch_guard(payload: &[u8]) -> Result<Vec<TraceEvent>, WireError> {
-    let mut cur = Cursor::new(payload);
-    let evs = wire::decode_events(&mut cur)?;
-    if !cur.is_empty() {
-        return Err(WireError::TrailingBytes { extra: cur.remaining() });
-    }
-    Ok(evs)
-}
-
 /// Scan a log directory. With `repair`, the first violation's suffix is
 /// physically discarded: the broken segment is truncated to its last good
 /// byte (deleted outright when even its header is bad) and every later
@@ -458,12 +449,6 @@ pub fn read_wal(dir: &Path, repair: bool) -> Result<WalReplay, StoreError> {
         }
     }
     Ok(replay)
-}
-
-/// Decode one record payload exactly as the recovery scan does (used by
-/// `store inspect` to show per-record event counts).
-pub fn decode_record_payload(payload: &[u8]) -> Result<Vec<TraceEvent>, WireError> {
-    decode_batch_guard(payload)
 }
 
 #[cfg(test)]
