@@ -44,6 +44,21 @@ step "perfbench build (the benchmark is a package of its own)"
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked --quiet \
     --manifest-path perfbench/Cargo.toml
 
+step "perfbench output checks (each workload for 2 s)"
+# Every op checks its output (served reports byte-identical to an
+# in-process session, Table III, ...); a run passes only with
+# "correct": true and no failed op on its last line.
+for w in dracc-sweep spec-stream serve-replay static-fuzz; do
+    PB_SCRATCH="$(mktemp -d)"
+    PB_LAST="$(.bench_build/release/perfbench --workload "$w" --seed 1 --seconds 2 --trace 0 \
+        --scratch "$PB_SCRATCH" | tail -n 1)"
+    rm -rf "$PB_SCRATCH"
+    python3 -c 'import json, sys; r = json.loads(sys.argv[1])
+sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$PB_LAST" \
+        || { echo "perfbench $w failed its output checks: $PB_LAST"; exit 1; }
+    echo "    $w OK"
+done
+
 step "cargo test -q (tier-1: root package)"
 cargo test -q
 

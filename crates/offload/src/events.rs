@@ -27,6 +27,7 @@ use crate::addr::DeviceId;
 use crate::buffer::{BufferId, BufferInfo};
 use crate::report::Report;
 use arbalest_sync::Mutex;
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 /// A source location that can cross process boundaries.
@@ -50,6 +51,13 @@ pub struct SrcLoc {
 
 static INTERNED_FILES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
 
+thread_local! {
+    /// The file this thread's last [`SrcLoc::intern`] returned. A decoded
+    /// trace names the same file access after access, so most lookups
+    /// end here, without the table's lock.
+    static LAST_FILE: Cell<&'static str> = const { Cell::new("") };
+}
+
 impl SrcLoc {
     /// Capture the caller's location (the `Location::caller()` analogue).
     #[track_caller]
@@ -61,17 +69,29 @@ impl SrcLoc {
 
     /// Build a location from decoded parts, interning the file name.
     pub fn intern(file: &str, line: u32, column: u32) -> SrcLoc {
-        let mut table = INTERNED_FILES.lock();
-        let file = match table.get(file) {
-            Some(f) => f,
-            None => {
-                let leaked: &'static str = Box::leak(file.to_owned().into_boxed_str());
-                table.insert(leaked);
-                leaked
-            }
-        };
-        SrcLoc { file, line, column }
+        let mut interned = LAST_FILE.get();
+        if !same_file(interned, file) {
+            let mut table = INTERNED_FILES.lock();
+            interned = match table.get(file) {
+                Some(f) => f,
+                None => {
+                    let leaked: &'static str = Box::leak(file.to_owned().into_boxed_str());
+                    table.insert(leaked);
+                    leaked
+                }
+            };
+            LAST_FILE.set(interned);
+        }
+        SrcLoc { file: interned, line, column }
     }
+}
+
+/// `a == b`, with the last eight bytes compared first: paths from one
+/// source tree share their directories, so two files of equal length
+/// usually differ in their names, and a miss of the last-file cache is
+/// found without comparing the whole path.
+fn same_file(a: &str, b: &str) -> bool {
+    a.len() == b.len() && a.as_bytes().last_chunk::<8>() == b.as_bytes().last_chunk::<8>() && a == b
 }
 
 impl std::fmt::Display for SrcLoc {
@@ -287,5 +307,65 @@ pub trait Tool: Send + Sync {
     /// interval trees) — the tool's contribution to Fig. 9.
     fn side_table_bytes(&self) -> u64 {
         0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::TraceEvent;
+    use crate::wire::{decode_events, encode_events, Cursor};
+
+    /// Interned files under `prefix`.
+    fn interned_under(prefix: &str) -> Vec<&'static str> {
+        INTERNED_FILES.lock().iter().copied().filter(|f| f.starts_with(prefix)).collect()
+    }
+
+    #[test]
+    fn decoding_on_two_threads_interns_each_file_once() {
+        // Locations alternate among three files, so every access misses
+        // the per-thread cache of the last file.
+        const PREFIX: &str = "two-thread-intern/";
+        let files: Vec<String> = (0..3).map(|i| format!("{PREFIX}f{i}.c")).collect();
+        let events: Vec<TraceEvent> = (0..300u32)
+            .map(|i| {
+                TraceEvent::Access(AccessEvent {
+                    device: DeviceId::HOST,
+                    addr: u64::from(i) * 8,
+                    size: 8,
+                    is_write: i % 2 == 0,
+                    task: TaskId(1),
+                    buffer: None,
+                    mapped: false,
+                    atomic: false,
+                    // Not interned: a leaked copy stands in for the
+                    // recording process's own `file!()`.
+                    loc: SrcLoc {
+                        file: Box::leak(files[i as usize % 3].clone().into_boxed_str()),
+                        line: i,
+                        column: 1,
+                    },
+                })
+            })
+            .collect();
+        assert!(interned_under(PREFIX).is_empty());
+        let bytes = encode_events(&events);
+        let decode = || decode_events(&mut Cursor::new(&bytes)).unwrap();
+        let single = decode();
+        assert_eq!(single, events);
+        let decoded: Vec<Vec<TraceEvent>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2).map(|_| s.spawn(decode)).collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let table = interned_under(PREFIX);
+        assert_eq!(table.len(), 3, "{table:?}");
+        for run in decoded.iter().chain([&single]) {
+            assert_eq!(run, &single);
+            for ev in run {
+                let TraceEvent::Access(a) = ev else { unreachable!() };
+                // The one interned copy, not a fresh one per thread.
+                assert!(table.iter().any(|f| std::ptr::eq(*f, a.loc.file)), "{}", a.loc.file);
+            }
+        }
     }
 }

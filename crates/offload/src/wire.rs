@@ -12,7 +12,9 @@
 //! Source locations travel as `(file, line, column)` triples and are
 //! re-interned on decode ([`SrcLoc::intern`]), so a report rendered from a
 //! decoded trace is byte-identical to one rendered in the recording
-//! process.
+//! process. The decoder borrows each file name from the input
+//! ([`Cursor::str`]), so while consecutive locations name the same file,
+//! decoding one takes no lock and allocates nothing.
 
 use crate::addr::DeviceId;
 use crate::buffer::{BufferId, BufferInfo};
@@ -184,14 +186,19 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Read a `u32`-length-prefixed UTF-8 string (bounded by [`MAX_STRING`]).
-    pub fn string(&mut self) -> Result<String, WireError> {
+    /// Read a `u32`-length-prefixed UTF-8 string (bounded by [`MAX_STRING`])
+    /// in place: the result borrows the input, and nothing is allocated.
+    pub fn str(&mut self) -> Result<&'a str, WireError> {
         let len = self.u32()?;
         if len > MAX_STRING {
             return Err(WireError::Oversize { what: "string", len: len as u64, max: MAX_STRING as u64 });
         }
-        let bytes = self.take(len as usize)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+        std::str::from_utf8(self.take(len as usize)?).map_err(|_| WireError::BadUtf8)
+    }
+
+    /// [`Cursor::str`], copied into an owned `String`.
+    pub fn string(&mut self) -> Result<String, WireError> {
+        self.str().map(str::to_owned)
     }
 
     /// Read an element count prefix (bounded by [`MAX_COUNT`]).
@@ -230,10 +237,10 @@ fn put_loc(out: &mut Vec<u8>, loc: SrcLoc) {
 }
 
 fn get_loc(cur: &mut Cursor<'_>) -> Result<SrcLoc, WireError> {
-    let file = cur.string()?;
+    let file = cur.str()?;
     let line = cur.u32()?;
     let column = cur.u32()?;
-    Ok(SrcLoc::intern(&file, line, column))
+    Ok(SrcLoc::intern(file, line, column))
 }
 
 fn put_buffer_info(out: &mut Vec<u8>, info: &BufferInfo) {
@@ -547,11 +554,10 @@ pub fn encode_report(r: &Report, out: &mut Vec<u8>) {
 /// Decode one report. The tool name is re-interned so the decoded report
 /// keeps the `&'static str` field of the original.
 pub fn decode_report(cur: &mut Cursor<'_>) -> Result<Report, WireError> {
-    let tool = cur.string()?;
     // Tool names come from a tiny closed set per build; interning through
     // the SrcLoc file table gives them back 'static lifetime without a
     // per-report leak.
-    let tool = SrcLoc::intern(&tool, 0, 0).file;
+    let tool = SrcLoc::intern(cur.str()?, 0, 0).file;
     Ok(Report {
         tool,
         kind: report_kind(cur.u8()?)?,
@@ -601,12 +607,19 @@ pub fn decode_report(cur: &mut Cursor<'_>) -> Result<Report, WireError> {
 
 /// Serialize a count-prefixed event batch.
 pub fn encode_events(events: &[TraceEvent]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + events.len() * 48);
-    put_u32(&mut out, events.len() as u32);
-    for ev in events {
-        encode_event(ev, &mut out);
-    }
+    let mut out = Vec::new();
+    put_events(&mut out, events);
     out
+}
+
+/// Append a count-prefixed event batch ([`encode_events`]'s bytes) to
+/// `out`.
+pub fn put_events(out: &mut Vec<u8>, events: &[TraceEvent]) {
+    out.reserve(16 + events.len() * 48);
+    put_u32(out, events.len() as u32);
+    for ev in events {
+        encode_event(ev, out);
+    }
 }
 
 /// Decode a count-prefixed event batch.
@@ -622,11 +635,17 @@ pub fn decode_events(cur: &mut Cursor<'_>) -> Result<Vec<TraceEvent>, WireError>
 /// Serialize a count-prefixed report list.
 pub fn encode_reports(reports: &[Report]) -> Vec<u8> {
     let mut out = Vec::new();
-    put_u32(&mut out, reports.len() as u32);
-    for r in reports {
-        encode_report(r, &mut out);
-    }
+    put_reports(&mut out, reports);
     out
+}
+
+/// Append a count-prefixed report list ([`encode_reports`]'s bytes) to
+/// `out`.
+pub fn put_reports(out: &mut Vec<u8>, reports: &[Report]) {
+    put_u32(out, reports.len() as u32);
+    for r in reports {
+        encode_report(r, out);
+    }
 }
 
 /// Decode a count-prefixed report list.
@@ -665,7 +684,7 @@ pub fn encode_trace(events: &[TraceEvent]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&TRACE_MAGIC);
     put_u16(&mut out, TRACE_VERSION);
-    out.extend_from_slice(&encode_events(events));
+    put_events(&mut out, events);
     out
 }
 
@@ -706,6 +725,34 @@ mod tests {
         put_u32(&mut out, u32::MAX);
         let err = Cursor::new(&out).string().unwrap_err();
         assert!(matches!(err, WireError::Oversize { what: "string", .. }));
+    }
+
+    #[test]
+    fn borrowed_and_owned_strings_fail_alike() {
+        let with_prefix = |len: u32, bytes: &[u8]| {
+            let mut out = len.to_le_bytes().to_vec();
+            out.extend_from_slice(bytes);
+            out
+        };
+        let cases = [
+            (vec![3, 0], WireError::Truncated { needed: 4, have: 2 }),
+            (with_prefix(5, b"abc"), WireError::Truncated { needed: 5, have: 3 }),
+            (
+                with_prefix(MAX_STRING + 1, b""),
+                WireError::Oversize {
+                    what: "string",
+                    len: MAX_STRING as u64 + 1,
+                    max: MAX_STRING as u64,
+                },
+            ),
+            (with_prefix(2, &[0xC3, 0x28]), WireError::BadUtf8),
+        ];
+        for (bytes, err) in cases {
+            assert_eq!(Cursor::new(&bytes).str(), Err(err.clone()));
+            assert_eq!(Cursor::new(&bytes).string(), Err(err));
+        }
+        let ok = with_prefix(2, "é".as_bytes());
+        assert_eq!(Cursor::new(&ok).str(), Ok("é"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! in flight; every other request waits for its reply. That, and TCP
 //! flow control, is the whole of backpressure.
 
-use crate::proto::{Frame, ProtoError, StatsSnapshot, WIRE_VERSION};
+use crate::proto::{self, Frame, ProtoError, StatsSnapshot, WIRE_VERSION};
 use crate::server::ListenAddr;
 use arbalest_obs::{Registry, Span, SpanContext};
 use arbalest_offload::report::Report;
@@ -73,6 +73,8 @@ pub struct Client {
     /// Registry for client-side causal tracing; disabled by default, so
     /// untraced clients stamp no contexts and record no spans.
     tracer: Registry,
+    /// The frame being sent, kept so that every send reuses one buffer.
+    out: Vec<u8>,
 }
 
 impl Client {
@@ -88,12 +90,16 @@ impl Client {
             }
             ListenAddr::Unix(path) => Box::new(UnixStream::connect(path)?),
         };
-        Ok(Client { stream, deadline: None, tracer: Registry::disabled() })
+        Ok(Client::over(stream))
     }
 
     /// Wrap an already-connected byte stream (used by in-process tests).
     pub fn from_stream(stream: impl Read + Write + Send + 'static) -> Client {
-        Client { stream: Box::new(Given(stream)), deadline: None, tracer: Registry::disabled() }
+        Client::over(Box::new(Given(stream)))
+    }
+
+    fn over(stream: Box<dyn Transport>) -> Client {
+        Client { stream, deadline: None, tracer: Registry::disabled(), out: Vec::new() }
     }
 
     /// Enable causal tracing: every subsequent batch is stamped with a
@@ -127,8 +133,17 @@ impl Client {
     /// Write `frame`; returns when it was sent, where its reply's deadline
     /// starts.
     fn send(&mut self, frame: &Frame) -> Result<Instant, ProtoError> {
+        self.send_encoded(|out| frame.encode(out))
+    }
+
+    /// [`Client::send`] for the frame `encode` appends to the reused
+    /// buffer, written as one write (see [`Frame::write_to`]).
+    fn send_encoded(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Instant, ProtoError> {
         let started = Instant::now();
-        frame.write_to(&mut self.stream)?;
+        self.out.clear();
+        encode(&mut self.out);
+        self.stream.write_all(&self.out)?;
+        self.stream.flush()?;
         Ok(started)
     }
 
@@ -204,7 +219,7 @@ impl Client {
         let ctx = self.tracer.is_enabled().then(SpanContext::new_root);
         let span =
             ctx.map(|c| self.tracer.span_at(self.tracer.span_name("client_submit"), c));
-        let started = self.send(&Frame::Events { events: batch.to_vec(), ctx })?;
+        let started = self.send_encoded(|out| proto::put_events_frame(out, batch, ctx))?;
         Ok(Some(Posted { started, _span: span }))
     }
 

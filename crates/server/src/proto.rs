@@ -117,15 +117,13 @@ impl StatsSnapshot {
         self.sessions_started.saturating_sub(self.sessions_finished)
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn encode(&self, out: &mut Vec<u8>) {
         for v in [self.sessions_started, self.sessions_finished, self.events_received] {
             out.extend_from_slice(&v.to_le_bytes());
         }
         for v in self.reports_by_kind {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        out
     }
 
     fn decode(cur: &mut Cursor<'_>) -> Result<StatsSnapshot, WireError> {
@@ -220,7 +218,7 @@ impl Frame {
     fn type_byte(&self) -> u8 {
         match self {
             Frame::Hello { .. } => 0x01,
-            Frame::Events { .. } => 0x02,
+            Frame::Events { .. } => EVENTS,
             Frame::Finish => 0x03,
             Frame::Stats => 0x04,
             Frame::Shutdown => 0x05,
@@ -257,10 +255,11 @@ impl Frame {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        match self {
+    /// Append this frame (length, type byte, payload) to `out`.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_frame(out, self.type_byte(), |out| match self {
             Frame::Hello { version, resume } => {
-                let mut out = version.to_le_bytes().to_vec();
+                out.extend_from_slice(&version.to_le_bytes());
                 match resume {
                     Some(id) => {
                         out.push(1);
@@ -268,52 +267,29 @@ impl Frame {
                     }
                     None => out.push(0),
                 }
-                out
             }
-            Frame::Events { events, ctx } => {
-                let mut out = wire::encode_events(events);
-                match ctx {
-                    Some(ctx) => {
-                        out.push(1);
-                        wire::put_span_context(&mut out, *ctx);
-                    }
-                    None => out.push(0),
-                }
-                out
-            }
-            Frame::Finish | Frame::Stats | Frame::Shutdown | Frame::Metrics | Frame::Ok => {
-                Vec::new()
-            }
+            Frame::Events { events, ctx } => put_events_payload(out, events, *ctx),
+            Frame::Finish | Frame::Stats | Frame::Shutdown | Frame::Metrics | Frame::Ok => {}
             Frame::HelloAck { version, session, events } => {
-                let mut out = Vec::with_capacity(18);
                 out.extend_from_slice(&version.to_le_bytes());
                 out.extend_from_slice(&session.to_le_bytes());
                 out.extend_from_slice(&events.to_le_bytes());
-                out
             }
-            Frame::EventsAck { accepted } => accepted.to_le_bytes().to_vec(),
-            Frame::Reports(reports) => wire::encode_reports(reports),
-            Frame::StatsReply(s) => s.encode(),
-            Frame::Error { message } => {
-                let mut out = Vec::new();
-                wire::put_str(&mut out, message);
-                out
-            }
-            Frame::MetricsReply(text) => {
-                let mut out = Vec::new();
-                wire::put_str(&mut out, text);
-                out
-            }
-            Frame::SessionFailed(failure) => {
-                let mut out = Vec::new();
-                failure.encode(&mut out);
-                out
-            }
-        }
+            Frame::EventsAck { accepted } => out.extend_from_slice(&accepted.to_le_bytes()),
+            Frame::Reports(reports) => wire::put_reports(out, reports),
+            Frame::StatsReply(s) => s.encode(out),
+            Frame::Error { message } => wire::put_str(out, message),
+            Frame::MetricsReply(text) => wire::put_str(out, text),
+            Frame::SessionFailed(failure) => failure.encode(out),
+        });
     }
 
-    fn decode(ty: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
+    /// Decode a frame body. For `Events`, also returns the batch's bytes
+    /// as received: the count-prefixed events, without the span-context
+    /// tag (empty for every other frame).
+    fn decode(ty: u8, payload: &[u8]) -> Result<(Frame, &[u8]), ProtoError> {
         let mut cur = Cursor::new(payload);
+        let mut batch = &payload[..0];
         let frame = match ty {
             0x01 => {
                 let version = cur.u16()?;
@@ -324,8 +300,9 @@ impl Frame {
                 };
                 Frame::Hello { version, resume }
             }
-            0x02 => {
+            EVENTS => {
                 let events = wire::decode_events(&mut cur)?;
+                batch = &payload[..payload.len() - cur.remaining()];
                 let ctx = match cur.u8()? {
                     0 => None,
                     1 => Some(wire::get_span_context(&mut cur)?),
@@ -352,7 +329,7 @@ impl Frame {
         if !cur.is_empty() {
             return Err(WireError::TrailingBytes { extra: cur.remaining() }.into());
         }
-        Ok(frame)
+        Ok((frame, batch))
     }
 
     /// Write this frame, length prefix first, and flush. The whole frame
@@ -360,12 +337,8 @@ impl Frame {
     /// (prefix, type, payload) interact with Nagle's algorithm and
     /// delayed ACKs to add ~40 ms of latency per request on TCP.
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), ProtoError> {
-        let payload = self.payload();
-        let len = 1 + payload.len() as u32;
-        let mut out = Vec::with_capacity(5 + payload.len());
-        out.extend_from_slice(&len.to_le_bytes());
-        out.push(self.type_byte());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        self.encode(&mut out);
         w.write_all(&out)?;
         w.flush()?;
         Ok(())
@@ -400,6 +373,19 @@ impl Frame {
         keep_waiting: &mut dyn FnMut() -> bool,
         max_frame: u32,
     ) -> Result<Frame, ProtoError> {
+        Frame::read_into(r, keep_waiting, max_frame, &mut Vec::new()).map(|(frame, _)| frame)
+    }
+
+    /// [`read_from_limited`](Frame::read_from_limited) into `body`, a
+    /// buffer the caller reuses from frame to frame. Returns the frame
+    /// and, for `Events`, the batch's bytes as received (see
+    /// [`Frame::decode`]), borrowed from `body`.
+    pub(crate) fn read_into<'b>(
+        r: &mut impl Read,
+        keep_waiting: &mut dyn FnMut() -> bool,
+        max_frame: u32,
+        body: &'b mut Vec<u8>,
+    ) -> Result<(Frame, &'b [u8]), ProtoError> {
         let max_frame = max_frame.min(MAX_FRAME);
         let mut len = [0u8; 4];
         match read_full(r, &mut len, keep_waiting) {
@@ -421,8 +407,9 @@ impl Frame {
                     .into(),
             );
         }
-        let mut body = vec![0u8; len as usize];
-        match read_full(r, &mut body, keep_waiting) {
+        body.clear();
+        body.resize(len as usize, 0);
+        match read_full(r, body, keep_waiting) {
             Ok(()) => {}
             Err(ReadFullError::Eof { filled }) => {
                 return Err(WireError::Truncated { needed: len as usize, have: filled }.into())
@@ -431,6 +418,39 @@ impl Frame {
         }
         Frame::decode(body[0], &body[1..])
     }
+}
+
+/// Type byte of an `Events` frame.
+const EVENTS: u8 = 0x02;
+
+/// Append one frame to `out`: the length, the type byte, then the
+/// payload that `put` writes in place.
+fn put_frame(out: &mut Vec<u8>, ty: u8, put: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.push(ty);
+    put(out);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// An `Events` payload: the count-prefixed batch, then the span-context
+/// tag (and the context when the tag is 1).
+fn put_events_payload(out: &mut Vec<u8>, events: &[TraceEvent], ctx: Option<SpanContext>) {
+    wire::put_events(out, events);
+    match ctx {
+        Some(ctx) => {
+            out.push(1);
+            wire::put_span_context(out, ctx);
+        }
+        None => out.push(0),
+    }
+}
+
+/// Append the bytes of `Frame::Events { events, ctx }` to `out`, encoding
+/// the borrowed batch in place.
+pub(crate) fn put_events_frame(out: &mut Vec<u8>, events: &[TraceEvent], ctx: Option<SpanContext>) {
+    put_frame(out, EVENTS, |out| put_events_payload(out, events, ctx));
 }
 
 /// Why [`read_full`] stopped short of filling its buffer.

@@ -614,6 +614,9 @@ enum ReapReason {
 fn handle_connection(mut stream: Stream, shared: &Shared) {
     let a = &shared.analysis;
     let mut session: Option<Session> = None;
+    // Every frame is read into this one buffer, and an `Events` batch is
+    // logged from it as received.
+    let mut body = Vec::new();
 
     loop {
         // Each read waits at most the time left on the frame's idle or
@@ -636,10 +639,10 @@ fn handle_connection(mut stream: Stream, shared: &Shared) {
                     }
                 }
             };
-            Frame::read_from_limited(&mut reader, &mut keep_waiting, shared.max_frame)
+            Frame::read_into(&mut reader, &mut keep_waiting, shared.max_frame, &mut body)
         };
-        let frame = match frame {
-            Ok(f) => f,
+        let (frame, batch) = match frame {
+            Ok(read) => read,
             Err(ProtoError::ShuttingDown) => match reaped.take() {
                 // A reaped connection gets the typed reason (best effort —
                 // it may be gone) before the close; its session is aborted
@@ -707,7 +710,7 @@ fn handle_connection(mut stream: Stream, shared: &Shared) {
             }
             Frame::Events { events, ctx } => match session.as_mut() {
                 None => Frame::error("Events before Hello"),
-                Some(s) => s.feed(a, &events, ctx),
+                Some(s) => s.feed(a, &events, batch, ctx),
             },
             Frame::Finish => match session.take() {
                 None => Frame::error("Finish before Hello"),

@@ -334,12 +334,14 @@ pub(crate) struct Session {
 }
 
 impl Session {
-    /// Log, analyse and acknowledge one batch. The ack waits for both, so
-    /// a crash can only lose unacked batches.
+    /// Log, analyse and acknowledge one batch: `events`, decoded from
+    /// `batch`, the bytes it arrived in, which the WAL logs as they are.
+    /// The ack waits for both, so a crash can only lose unacked batches.
     pub(crate) fn feed(
         &mut self,
         a: &Analysis,
         events: &[TraceEvent],
+        batch: &[u8],
         ctx: Option<SpanContext>,
     ) -> Frame {
         if let State::Quarantined(failure) = &self.state {
@@ -352,7 +354,7 @@ impl Session {
         // so every server span parents to the ids the client stamped.
         let root = ctx.filter(|c| c.is_traced());
         let submit = root.map(|c| a.registry.span_at(a.names.client_submit, c));
-        let reply = self.log_and_analyse(a, events, root);
+        let reply = self.log_and_analyse(a, events, batch, root);
         self.record(a, submit.and_then(Span::end));
         reply
     }
@@ -361,11 +363,12 @@ impl Session {
         &mut self,
         a: &Analysis,
         events: &[TraceEvent],
+        batch: &[u8],
         root: Option<SpanContext>,
     ) -> Frame {
         if let Some(log) = &mut self.log {
             let span = root.map(|c| a.registry.span_child(a.names.wal_append, c));
-            let appended = log.append(events);
+            let appended = log.append_raw(batch);
             self.record(a, span.and_then(Span::end));
             if let Err(e) = appended {
                 // Nothing of the batch was analysed or acked, and a failed
@@ -530,20 +533,25 @@ mod tests {
         TraceEvent::PoolAlloc { device: DeviceId(1), base: i << 12, len: 4096 }
     }
 
+    /// Feed `events` as the server does: with the bytes they arrived in.
+    fn feed(session: &mut Session, a: &Analysis, events: &[TraceEvent]) -> Frame {
+        session.feed(a, events, &arbalest_offload::wire::encode_events(events), None)
+    }
+
     #[test]
     fn shard_panic_quarantines_only_the_poisoned_session() {
         // Rate 1.0: the very first Events batch panics its analysis.
         let a = analysis(ServerConfig { faults: FaultConfig::new(7, 1.0), ..Default::default() });
         let innocent = a.open(None).expect("open");
         let mut victim = a.open(None).expect("open");
-        let reply = victim.feed(&a, &[pool_alloc_event(1)], None);
+        let reply = feed(&mut victim, &a, &[pool_alloc_event(1)]);
         assert!(
             matches!(&reply, Frame::SessionFailed(SessionFailure::ShardPanic { message })
                 if message.contains("injected")),
             "{reply:?}"
         );
         // Later frames answer the same typed failure.
-        assert_eq!(victim.feed(&a, &[pool_alloc_event(2)], None), reply);
+        assert_eq!(feed(&mut victim, &a, &[pool_alloc_event(2)]), reply);
         assert_eq!(victim.finish(&a), reply);
         assert_eq!(innocent.finish(&a), Frame::Reports(Vec::new()));
         assert_eq!(a.metrics.sessions_finished.get(), 2);
@@ -572,7 +580,7 @@ mod tests {
         // May mode, and the session finishes with BudgetExceeded.
         let a = analysis(ServerConfig { max_session_bytes: 1, ..Default::default() });
         let mut session = a.open(None).expect("open");
-        session.feed(&a, &shadowy_trace(), None);
+        feed(&mut session, &a, &shadowy_trace());
         let reply = session.finish(&a);
         assert!(
             matches!(reply, Frame::SessionFailed(SessionFailure::BudgetExceeded { budget_bytes: 1, .. })),

@@ -15,9 +15,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn record(bench: &arbalest_dracc::Benchmark) -> Vec<TraceEvent> {
+    record_on(Config::default(), |rt| bench.run(rt))
+}
+
+/// The trace of `run` on a runtime built from `cfg`.
+fn record_on(cfg: Config, run: impl FnOnce(&Runtime)) -> Vec<TraceEvent> {
     let recorder = Arc::new(TraceRecorder::new());
-    let rt = Runtime::with_tool(Config::default(), recorder.clone());
-    bench.run(&rt);
+    let rt = Runtime::with_tool(cfg, recorder.clone());
+    run(&rt);
     recorder.take()
 }
 
@@ -431,6 +436,236 @@ fn snapshot_triggers_compaction_and_clean_finish_removes_state() {
         .unwrap_or_default();
     assert!(leftovers.is_empty(), "finished session left durable state: {leftovers:?}");
 
+    server.stop();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// A segment's 14-byte header: magic, WAL version, start index.
+fn segment_header(start: u64) -> Vec<u8> {
+    let mut out = arbalest_store::wal::WAL_MAGIC.to_vec();
+    out.extend_from_slice(&arbalest_store::WAL_VERSION.to_le_bytes());
+    out.extend_from_slice(&start.to_le_bytes());
+    out
+}
+
+/// One WAL record: `len | crc32 | payload`.
+fn wal_record(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&arbalest_store::crc::crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Every segment of a session's log, in start order, as `(start, bytes)`.
+fn segments(data_dir: &Path, id: u64) -> Vec<(u64, Vec<u8>)> {
+    let dir = data_dir.join("sessions").join(id.to_string());
+    arbalest_store::wal::list_segments(&dir)
+        .expect("list segments")
+        .into_iter()
+        .map(|(start, path)| (start, std::fs::read(path).expect("read segment")))
+        .collect()
+}
+
+/// What a served session logs is what its client encoded: for each batch,
+/// one record whose payload is `wire::encode_events(batch)`, and never
+/// the span context a traced client stamps on the frame. The four
+/// SPEC-like traces and a few DRACC ones, in batches of 37 and of 1024,
+/// half of the sessions traced; each session is left open.
+#[test]
+fn a_served_session_logs_each_batch_as_its_client_encoded_it() {
+    let data_dir = tmp_dir("servedbytes");
+    let server = Server::start(
+        &ListenAddr::Tcp("127.0.0.1:0".into()),
+        ServerConfig {
+            shards: 2,
+            data_dir: Some(data_dir.to_path_buf()),
+            // One segment per session, whatever its length.
+            store: arbalest_store::StoreConfig {
+                segment_bytes: 1 << 30,
+                ..arbalest_store::StoreConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind durable server");
+    let addr = server.local_addr().clone();
+    // Recorded at team 2, as perfbench records the traces it serves.
+    let team2 = || Config::default().team_size(2);
+    let mut traces: Vec<Vec<TraceEvent>> = ["postencil", "polbm", "pomriq", "pcg"]
+        .iter()
+        .map(|name| {
+            let w = arbalest_spec::by_name(name).expect("SPEC-like workload");
+            record_on(team2(), |rt| {
+                (w.run)(rt, arbalest_spec::Preset::Test);
+            })
+        })
+        .collect();
+    for id in [1, 22, 23, 49] {
+        let bench = arbalest_dracc::by_id(id).expect("DRACC case");
+        traces.push(record_on(team2(), |rt| bench.run(rt)));
+    }
+    let mut sessions = 0;
+    for events in &traces {
+        for chunk in [37, 1024] {
+            let client = Client::connect(&addr).expect("connect");
+            let mut client = match sessions % 2 {
+                0 => client,
+                _ => client.with_tracing(arbalest_obs::Registry::new()),
+            };
+            sessions += 1;
+            let id = client.hello().expect("hello");
+            let mut want = segment_header(0);
+            for batch in events.chunks(chunk) {
+                client.send_events(batch).expect("send batch");
+                want.extend_from_slice(&wal_record(&arbalest_offload::wire::encode_events(batch)));
+            }
+            drop(client); // left open: the log stays on disk
+            let got = segments(&data_dir, id);
+            assert_eq!(got.len(), 1, "session {id}: one segment");
+            assert!(got[0].1 == want, "session {id} (chunk {chunk}): logged bytes differ");
+        }
+    }
+    server.stop();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// An `Events` frame whose batch fails to decode gets a typed error, and
+/// nothing of it reaches the log: after one good batch, neither a batch
+/// whose second event has a bad tag nor one whose count prefix promises
+/// more events than it carries is logged, and a resume starts right after
+/// the good batch.
+#[test]
+fn a_batch_that_fails_to_decode_is_never_logged() {
+    use arbalest_offload::wire;
+    use arbalest_server::{Frame, WIRE_VERSION};
+    let data_dir = tmp_dir("badbatch");
+    let server = durable_server(&data_dir, 1);
+    let addr = match server.local_addr() {
+        ListenAddr::Tcp(a) => a.clone(),
+        other => panic!("wanted tcp, got {other}"),
+    };
+    let events = record(&arbalest_dracc::by_id(22).expect("DRACC 22"));
+    let good = &events[..10];
+
+    // A frame whose batch is `batch` and whose span-context tag is 0.
+    let events_frame = |batch: &[u8]| {
+        let mut out = (batch.len() as u32 + 2).to_le_bytes().to_vec();
+        out.push(0x02);
+        out.extend_from_slice(batch);
+        out.push(0);
+        out
+    };
+    let mut bad_tag = wire::encode_events(&events[10..12]);
+    let mut first = Vec::new();
+    wire::encode_event(&events[10], &mut first);
+    bad_tag[4 + first.len()] = 0xEE;
+    let mut overcounted = wire::encode_events(&events[10..12]);
+    overcounted[..4].copy_from_slice(&3u32.to_le_bytes());
+
+    // Open (or resume) the session on a raw connection, send the bad
+    // frame, and read the typed answer.
+    let send_bad = |resume: Option<u64>, bad: &[u8]| -> (u64, String) {
+        let mut attempts = 0;
+        let (mut raw, id) = loop {
+            let mut raw = std::net::TcpStream::connect(&addr).expect("connect");
+            Frame::Hello { version: WIRE_VERSION, resume }.write_to(&mut raw).expect("hello");
+            match Frame::read_from(&mut raw, &mut || true).expect("hello reply") {
+                Frame::HelloAck { session, .. } => break (raw, session),
+                // The last connection may still hold the session.
+                Frame::Error { .. } if attempts < 50 => {
+                    attempts += 1;
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                other => panic!("{other:?}"),
+            }
+        };
+        if resume.is_none() {
+            let frame = Frame::Events { events: good.to_vec(), ctx: None };
+            frame.write_to(&mut raw).expect("good batch");
+            let ack = Frame::read_from(&mut raw, &mut || true).expect("ack");
+            assert_eq!(ack, Frame::EventsAck { accepted: good.len() as u32 });
+        }
+        std::io::Write::write_all(&mut raw, &events_frame(bad)).expect("bad batch");
+        match Frame::read_from(&mut raw, &mut || true).expect("typed reply") {
+            Frame::Error { message } => (id, message),
+            other => panic!("wanted Error, got {other:?}"),
+        }
+    };
+    let (id, message) = send_bad(None, &bad_tag);
+    assert!(message.contains("bad TraceEvent tag 0xee"), "{message}");
+    let (_, message) = send_bad(Some(id), &overcounted);
+    assert!(message.contains("truncated"), "{message}");
+
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut attempts = 0;
+    let resumed = loop {
+        match client.resume(id) {
+            Ok(events) => break events,
+            Err(e) => assert!(attempts < 50 && matches!(e, ProtoError::Remote(_)), "{e:?}"),
+        }
+        attempts += 1;
+        std::thread::sleep(Duration::from_millis(20));
+        client = Client::connect(server.local_addr()).expect("reconnect");
+    };
+    assert_eq!(resumed, good.len() as u64);
+    let prom = client.metrics().expect("metrics");
+    for label in ["bad_tag", "truncated"] {
+        let line = format!("arbalest_server_decode_errors_total{{error=\"{label}\"}} 1");
+        assert!(prom.lines().any(|l| l == line), "{line}\n{prom}");
+    }
+    // The first segment holds exactly the good record; each resume
+    // started an empty segment after it.
+    let mut want = segment_header(0);
+    want.extend_from_slice(&wal_record(&wire::encode_events(good)));
+    let got = segments(&data_dir, id);
+    assert!(got[0] == (0, want), "the first segment holds more than the good batch");
+    for (start, bytes) in &got[1..] {
+        assert_eq!((*start, bytes), (good.len() as u64, &segment_header(good.len() as u64)));
+    }
+    drop(client);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// An injected `WalCorruptRecord` flips a byte of the record written to
+/// disk, never of the batch the session analyses: the log scans as
+/// corrupt while the session's reports match an uninterrupted run.
+#[test]
+fn injected_wal_corruption_reaches_the_disk_not_the_analysis() {
+    use arbalest_offload::fault::{FaultConfig, FaultOutcome, FaultPlan, FaultSite};
+    // A seed whose first append corrupts its record without tearing it
+    // (the writer decides the corruption, then the tear).
+    let faults = (0..)
+        .map(|seed| FaultConfig::new(seed, 0.5))
+        .find(|&cfg| {
+            let plan = FaultPlan::new(cfg);
+            plan.decide(FaultSite::WalCorruptRecord) == FaultOutcome::Permanent
+                && plan.decide(FaultSite::WalTornTail) == FaultOutcome::None
+        })
+        .expect("some seed corrupts without tearing");
+    let data_dir = tmp_dir("corruptwal");
+    let server = Server::start(
+        &ListenAddr::Tcp("127.0.0.1:0".into()),
+        ServerConfig {
+            shards: 1,
+            data_dir: Some(data_dir.to_path_buf()),
+            store: arbalest_store::StoreConfig {
+                fsync: arbalest_store::FsyncPolicy::Never,
+                faults,
+                ..arbalest_store::StoreConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let events = record(&arbalest_dracc::by_id(22).expect("DRACC 22"));
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let id = client.hello().expect("hello");
+    client.send_events(&events).expect("one batch");
+    let replay = arbalest_store::read_wal(&data_dir.join("sessions").join(id.to_string()), false)
+        .expect("scan");
+    assert!(replay.corrupt && replay.events.is_empty(), "{replay:?}");
+    assert_eq!(client.finish().expect("finish"), in_process(&events));
     server.stop();
     let _ = std::fs::remove_dir_all(&data_dir);
 }

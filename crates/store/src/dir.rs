@@ -23,6 +23,7 @@ use arbalest_core::{AnalysisSession, ArbalestConfig, SessionSnapshot};
 use arbalest_obs::Registry;
 use arbalest_offload::fault::FaultConfig;
 use arbalest_offload::trace::TraceEvent;
+use arbalest_offload::wire;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -86,17 +87,18 @@ pub struct SessionLog {
 }
 
 impl SessionLog {
-    /// Append one batch; the batch may be acked to the client only after
-    /// this returns `Ok`.
+    /// Encode one batch and append it with [`SessionLog::append_raw`].
     pub fn append(&mut self, events: &[TraceEvent]) -> Result<(), StoreError> {
-        self.wal.append(events)?;
-        self.since_events += events.len() as u64;
-        Ok(())
+        self.append_raw(&wire::encode_events(events))
     }
 
-    /// Absolute index the next appended event will get.
-    pub fn events_appended(&self) -> u64 {
-        self.wal.events_appended()
+    /// Append one batch given as its wire bytes ([`WalWriter::append_raw`]);
+    /// the batch may be acked to the client only after this returns `Ok`.
+    pub fn append_raw(&mut self, batch: &[u8]) -> Result<(), StoreError> {
+        let before = self.wal.events_appended();
+        self.wal.append_raw(batch)?;
+        self.since_events += self.wal.events_appended() - before;
+        Ok(())
     }
 
     /// Whether the snapshot trigger has fired since the last
@@ -138,16 +140,6 @@ impl Store {
     pub fn open(root: &Path, cfg: StoreConfig, reg: &Registry) -> Result<Store, StoreError> {
         fs::create_dir_all(root.join("sessions"))?;
         Ok(Store { root: root.to_path_buf(), cfg, metrics: reg.state(StoreMetrics::new) })
-    }
-
-    /// The durability configuration this store was opened with.
-    pub fn config(&self) -> &StoreConfig {
-        &self.cfg
-    }
-
-    /// The store's instrument pack.
-    pub fn metrics(&self) -> &Arc<StoreMetrics> {
-        &self.metrics
     }
 
     /// Directory holding one session's segments and snapshots.
@@ -423,6 +415,29 @@ mod tests {
             assert_eq!(rec.session.finish(), want, "diverged at cut {cut}");
             store.remove_session(id).unwrap();
         }
+        destroy(store);
+    }
+
+    #[test]
+    fn resuming_twice_without_an_append_keeps_later_appends() {
+        // Each resume opens a segment at the recovered count; the second
+        // one reopens the first one's still-empty segment.
+        let store = tmp_store("reresume", StoreConfig::default());
+        let trace = dracc_trace(0);
+        let cfg = ArbalestConfig::default();
+        let mut log = store.open_log(6, 0).unwrap();
+        log.append(&trace[..10]).unwrap();
+        drop(log);
+        for _ in 0..2 {
+            assert_eq!(store.recover_session(6, &cfg, &Registry::new()).unwrap().events, 10);
+            drop(store.open_log(6, 10).unwrap());
+        }
+        let mut log = store.open_log(6, 10).unwrap();
+        log.append(&trace[10..15]).unwrap();
+        drop(log);
+        let rec = store.recover_session(6, &cfg, &Registry::new()).unwrap();
+        assert_eq!(rec.events, 15);
+        assert!(!rec.torn && !rec.corrupt);
         destroy(store);
     }
 

@@ -103,7 +103,7 @@ pub fn encode_session_snapshot(snap: &SessionSnapshot) -> Vec<u8> {
         put_u64(&mut out, b.ov_base);
     }
 
-    out.extend_from_slice(&wire::encode_reports(&d.reports));
+    wire::put_reports(&mut out, &d.reports);
 
     put_u32(&mut out, d.seen.len() as u32);
     for k in &d.seen {

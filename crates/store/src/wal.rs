@@ -9,9 +9,15 @@
 //! ```
 //!
 //! where `payload` is [`wire::encode_events`] of the batch (count-prefixed
-//! events in the exact PR-2 wire layout) and `crc` is the [`crc32`] of the
-//! payload. Records are written with a single `write`, so a crash tears at
-//! most the final record.
+//! events in the wire layout of trace files and `Events` frames) and `crc`
+//! is the [`crc32`] of the payload. Records are written with a single
+//! `write`, so a crash tears at most the final record.
+//!
+//! The server logs a batch through [`WalWriter::append_raw`], as the bytes
+//! its `Events` frame carried (the frame's span-context tag left out),
+//! once decoding them has validated them, so a served batch is never
+//! encoded twice; [`WalWriter::append`] encodes a `&[TraceEvent]` first.
+//! Each writer builds its records in one reused buffer.
 //!
 //! ## Segments
 //!
@@ -143,6 +149,8 @@ pub struct WalWriter {
     plan: FaultPlan,
     metrics: Arc<StoreMetrics>,
     poisoned: bool,
+    /// The record being written, kept so that appends reuse one buffer.
+    record: Vec<u8>,
 }
 
 impl WalWriter {
@@ -171,6 +179,7 @@ impl WalWriter {
             plan: FaultPlan::new(faults),
             metrics,
             poisoned: false,
+            record: Vec::new(),
         })
     }
 
@@ -179,9 +188,14 @@ impl WalWriter {
         header.extend_from_slice(&WAL_MAGIC);
         header.extend_from_slice(&WAL_VERSION.to_le_bytes());
         header.extend_from_slice(&start.to_le_bytes());
+        // A segment that already starts here holds no record (or recovery
+        // would have counted past `start`), only a header: a resume that
+        // logged nothing left it. Start it over, so that it never carries
+        // two headers, whose second would read as a corrupt record.
         let mut file = OpenOptions::new()
             .create(true)
-            .append(true)
+            .write(true)
+            .truncate(true)
             .open(segment_path(dir, start))?;
         file.write_all(&header)?;
         Ok(file)
@@ -193,14 +207,23 @@ impl WalWriter {
         self.events_appended
     }
 
-    /// Append one batch as a single CRC-framed record, then apply the
-    /// fsync policy. On success the batch may be acked to the client;
-    /// returns the record size in bytes (framing included).
+    /// Encode one batch and append it with [`WalWriter::append_raw`].
     pub fn append(&mut self, events: &[TraceEvent]) -> Result<u64, StoreError> {
+        self.append_raw(&wire::encode_events(events))
+    }
+
+    /// Append one batch, given as its [`wire::encode_events`] bytes, as a
+    /// single CRC-framed record, then apply the fsync policy. On success
+    /// the batch may be acked to the client; returns the record size in
+    /// bytes (framing included), 0 for an empty batch. The bytes are
+    /// logged as given: the caller has decoded them, and the event count
+    /// is read from their prefix.
+    pub fn append_raw(&mut self, batch: &[u8]) -> Result<u64, StoreError> {
         if self.poisoned {
             return Err(StoreError::Poisoned);
         }
-        if events.is_empty() {
+        let events = Cursor::new(batch).count("event batch")? as u64;
+        if events == 0 {
             return Ok(0);
         }
         if self.bytes_in_segment >= self.segment_bytes {
@@ -208,21 +231,20 @@ impl WalWriter {
             self.file = Self::new_segment(&self.dir, self.events_appended)?;
             self.bytes_in_segment = WAL_HEADER as u64;
         }
-        let mut payload = wire::encode_events(events);
-        let crc = crc32(&payload);
+        let record = &mut self.record;
+        record.clear();
+        record.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+        record.extend_from_slice(&crc32(batch).to_le_bytes());
+        record.extend_from_slice(batch);
         if self.plan.active() {
             if let FaultOutcome::Permanent = self.plan.decide(FaultSite::WalCorruptRecord) {
                 // Written whole, checksummed wrong: silent corruption that
-                // only the recovery scan can catch.
-                let idx = payload.len() / 2;
-                payload[idx] ^= 0x40;
+                // only the recovery scan can catch. Only the record's copy
+                // is flipped, never the caller's bytes.
+                record[8 + batch.len() / 2] ^= 0x40;
                 self.metrics.injected[1].inc();
             }
         }
-        let mut record = Vec::with_capacity(8 + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&crc.to_le_bytes());
-        record.extend_from_slice(&payload);
         if self.plan.active() {
             if let FaultOutcome::Partial { frac256 } = self.plan.decide(FaultSite::WalTornTail) {
                 // The crash model: only a prefix reaches the file, and the
@@ -235,18 +257,19 @@ impl WalWriter {
                 return Err(StoreError::Poisoned);
             }
         }
-        if let Err(e) = self.file.write_all(&record) {
+        if let Err(e) = self.file.write_all(record) {
             // Part of the record may be in the file. Another append after
             // it would bury that torn record inside the log, so the writer
             // takes no more.
             self.poisoned = true;
             return Err(e.into());
         }
-        self.events_appended += events.len() as u64;
-        self.bytes_in_segment += record.len() as u64;
-        self.unsynced += record.len() as u64;
+        let written = record.len() as u64;
+        self.events_appended += events;
+        self.bytes_in_segment += written;
+        self.unsynced += written;
         self.metrics.wal_records.inc();
-        self.metrics.wal_appended_bytes.add(record.len() as u64);
+        self.metrics.wal_appended_bytes.add(written);
         match self.policy {
             FsyncPolicy::Always => self.do_sync()?,
             FsyncPolicy::Group { bytes } => {
@@ -256,7 +279,7 @@ impl WalWriter {
             }
             FsyncPolicy::Never => {}
         }
-        Ok(record.len() as u64)
+        Ok(written)
     }
 
     /// Force a flush to stable storage (snapshot barriers use this
@@ -603,6 +626,39 @@ mod tests {
         // The resulting file recovers typed: nothing or a broken suffix.
         let replay = read_wal(&dir, true).unwrap();
         assert!(replay.events.is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn injected_corruption_flips_only_the_logged_copy() {
+        // A seed whose first append corrupts its record without tearing
+        // it (append_raw decides the corruption, then the tear).
+        let faults = (0..)
+            .map(|seed| FaultConfig::new(seed, 0.5))
+            .find(|&cfg| {
+                let plan = FaultPlan::new(cfg);
+                plan.decide(FaultSite::WalCorruptRecord) == FaultOutcome::Permanent
+                    && plan.decide(FaultSite::WalTornTail) == FaultOutcome::None
+            })
+            .unwrap();
+        let dir = tmpdir("corrupt-copy");
+        let m = metrics();
+        let mut w =
+            WalWriter::open(&dir, 0, 8 << 20, FsyncPolicy::Never, faults, m.clone()).unwrap();
+        let batch = wire::encode_events(&[ev(1), ev(2)]);
+        let sent = batch.clone();
+        w.append_raw(&batch).unwrap();
+        assert_eq!(batch, sent);
+        assert_eq!(m.injected[1].get(), 1);
+        // On disk: the right length and checksum, one payload byte flipped.
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let mut record = fs::read(&path).unwrap().split_off(WAL_HEADER);
+        assert_eq!(record[..4], (batch.len() as u32).to_le_bytes());
+        assert_eq!(record[4..8], crc32(&batch).to_le_bytes());
+        record[8 + batch.len() / 2] ^= 0x40;
+        assert_eq!(record[8..], batch[..]);
+        let replay = read_wal(&dir, false).unwrap();
+        assert!(replay.corrupt && replay.events.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 
