@@ -109,6 +109,11 @@ if [[ "${RUN_SOAK:-1}" == "1" ]]; then
     cargo test -q --release -p arbalest-race --no-run
     timeout 60 cargo test -q --release -p arbalest-race -- --ignored
 
+    step "team-pool stress (4 runtimes forking through member panics, 60s budget)"
+    # A deadlocked pool fails here within a minute instead of hanging CI.
+    cargo test -q --release -p arbalest-offload --test team_pool --no-run
+    timeout 60 cargo test -q --release -p arbalest-offload --test team_pool -- --ignored
+
     step "network-chaos soak (all DRACC cases, fixed seeds, 60s budget)"
     # Compile outside the wall-clock budget; only the soak itself is bounded.
     cargo test -q --release -p arbalest-server --test chaos_soak --no-run

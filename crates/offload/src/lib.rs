@@ -56,6 +56,7 @@ pub mod report;
 pub mod runtime;
 pub mod scalar;
 pub mod sections;
+mod team;
 pub mod trace;
 pub mod wire;
 

@@ -8,6 +8,16 @@
 //! `nowait` region's transfers genuinely race with concurrent host code —
 //! the hazard of Fig. 2 is executable, not merely modeled.
 //!
+//! Kernel team members (`par_for`, `teams`, `par_reduce`) run on the hot
+//! team (`crate::team`): member 0 on the thread that encounters the
+//! construct, the others on parked workers reused from fork to fork, as
+//! libomp keeps its team between parallel regions. A `nowait` region
+//! keeps its own OS thread. Its schedule is a seeded input still to come
+//! (ROADMAP item 2), and a parked worker would start it sooner than a
+//! spawned thread does. That changes which unordered present-table
+//! operation wins on the schedule-dependent generated programs, and the
+//! differential fuzz checks would read the flips as failures.
+//!
 //! With `Config::serialize_nowait` (ARBALEST's Theorem-1 analysis mode),
 //! `nowait` bodies run inline on the host thread **but the emitted
 //! happens-before structure is unchanged** — the race detector still sees
@@ -26,6 +36,7 @@ use crate::mapping::{ExitPlan, Map, PresentEntry, PresentTable};
 use crate::mem::{self, AddressSpace};
 use crate::report::{Report, ReportKind};
 use crate::scalar::Scalar;
+use crate::team;
 use arbalest_sync::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -2022,36 +2033,12 @@ impl KernelCtx {
         }
         let team = self.team_size.min(n).max(1);
         let chunk = n.div_ceil(team);
-        let mut children = Vec::with_capacity(team);
-        for _ in 0..team {
-            let child = self.rt.new_task();
-            self.rt.emit_sync(SyncEvent::TaskCreate { parent: self.task, child });
-            children.push(child);
-        }
-        std::thread::scope(|s| {
-            for (t, &child) in children.iter().enumerate() {
-                let lo = range.start + t * chunk;
-                let hi = (lo + chunk).min(range.end);
-                let ctx = KernelCtx {
-                    rt: self.rt.clone(),
-                    tools: self.tools.clone(),
-                    device: self.device,
-                    task: child,
-                    env: self.env.clone(),
-                    team_size: self.team_size,
-                };
-                let f = &f;
-                s.spawn(move || {
-                    for i in lo..hi {
-                        f(&ctx, i);
-                    }
-                    ctx.rt.emit_sync(SyncEvent::TaskEnd { task: child });
-                });
+        self.fork_team(team, |k, t| {
+            let lo = range.start + t * chunk;
+            for i in lo..(lo + chunk).min(range.end) {
+                f(k, i);
             }
         });
-        for child in children {
-            self.rt.emit_sync(SyncEvent::TaskJoin { waiter: self.task, joined: child });
-        }
     }
 
     /// A league of teams (`teams distribute`): spawn `num_teams` team
@@ -2062,100 +2049,66 @@ impl KernelCtx {
     where
         F: Fn(&KernelCtx, usize) + Send + Sync,
     {
-        if num_teams == 0 {
-            return;
-        }
-        let mut children = Vec::with_capacity(num_teams);
-        for _ in 0..num_teams {
-            let child = self.rt.new_task();
-            self.rt.emit_sync(SyncEvent::TaskCreate { parent: self.task, child });
-            children.push(child);
-        }
-        std::thread::scope(|s| {
-            for (team, &child) in children.iter().enumerate() {
-                let ctx = KernelCtx {
-                    rt: self.rt.clone(),
-                    tools: self.tools.clone(),
-                    device: self.device,
-                    task: child,
-                    env: self.env.clone(),
-                    team_size: self.team_size,
-                };
-                let f = &f;
-                s.spawn(move || {
-                    f(&ctx, team);
-                    ctx.rt.emit_sync(SyncEvent::TaskEnd { task: child });
-                });
-            }
-        });
-        for child in children {
-            self.rt.emit_sync(SyncEvent::TaskJoin { waiter: self.task, joined: child });
-        }
+        self.fork_team(num_teams, f);
     }
 
     /// Parallel reduction over the team: `map` each index, `fold` within a
-    /// thread, combine partials on the kernel task.
+    /// thread, combine partials on the kernel task in member order, so the
+    /// result does not depend on which member finished first.
     pub fn par_reduce<A, M, R>(&self, range: std::ops::Range<usize>, init: A, map: M, reduce: R) -> A
     where
         A: Send + Clone,
         M: Fn(&KernelCtx, usize) -> A + Send + Sync,
         R: Fn(A, A) -> A + Send + Sync,
     {
-        let partials: Mutex<Vec<A>> = Mutex::new(Vec::new());
-        self.par_for_partials(range, &init, &map, &reduce, &partials);
+        let n = range.end.saturating_sub(range.start);
+        if n == 0 {
+            return init;
+        }
+        let team = self.team_size.min(n).max(1);
+        let chunk = n.div_ceil(team);
+        // One partial per member, each starting from its own clone of
+        // `init`: `&A` is not `Sync`, so members cannot share `init`.
+        let partials: Vec<Mutex<Option<A>>> =
+            (0..team).map(|_| Mutex::new(Some(init.clone()))).collect();
+        self.fork_team(team, |k, t| {
+            let mut acc = partials[t].lock().take().expect("a member takes only its own partial");
+            let lo = range.start + t * chunk;
+            for i in lo..(lo + chunk).min(range.end) {
+                acc = reduce(acc, map(k, i));
+            }
+            *partials[t].lock() = Some(acc);
+        });
         let mut acc = init;
-        for p in partials.into_inner() {
-            acc = reduce(acc, p);
+        for partial in partials {
+            acc = reduce(acc, partial.into_inner().expect("every member stored its partial"));
         }
         acc
     }
 
-    fn par_for_partials<A, M, R>(
-        &self,
-        range: std::ops::Range<usize>,
-        init: &A,
-        map: &M,
-        reduce: &R,
-        partials: &Mutex<Vec<A>>,
-    ) where
-        A: Send + Clone,
-        M: Fn(&KernelCtx, usize) -> A + Send + Sync,
-        R: Fn(A, A) -> A + Send + Sync,
-    {
-        let n = range.end.saturating_sub(range.start);
-        if n == 0 {
-            return;
-        }
-        let team = self.team_size.min(n).max(1);
-        let chunk = n.div_ceil(team);
-        let mut children = Vec::with_capacity(team);
-        for _ in 0..team {
-            let child = self.rt.new_task();
-            self.rt.emit_sync(SyncEvent::TaskCreate { parent: self.task, child });
-            children.push(child);
-        }
-        std::thread::scope(|s| {
-            for (t, &child) in children.iter().enumerate() {
-                let lo = range.start + t * chunk;
-                let hi = (lo + chunk).min(range.end);
-                let ctx = KernelCtx {
-                    rt: self.rt.clone(),
-                    tools: self.tools.clone(),
-                    device: self.device,
-                    task: child,
-                    env: self.env.clone(),
-                    team_size: self.team_size,
-                };
-                let init = init.clone();
-                s.spawn(move || {
-                    let mut acc = init;
-                    for i in lo..hi {
-                        acc = reduce(acc, map(&ctx, i));
-                    }
-                    partials.lock().push(acc);
-                    ctx.rt.emit_sync(SyncEvent::TaskEnd { task: child });
-                });
-            }
+    /// Fork `n` member tasks of this task on the hot team, run member `t`
+    /// as `body(ctx, t)` on its own context, and join them. The events are
+    /// every `TaskCreate`, then each member's accesses and its `TaskEnd`,
+    /// then every `TaskJoin`, in member order.
+    fn fork_team(&self, n: usize, body: impl Fn(&KernelCtx, usize) + Sync) {
+        let children: Vec<TaskId> = (0..n)
+            .map(|_| {
+                let child = self.rt.new_task();
+                self.rt.emit_sync(SyncEvent::TaskCreate { parent: self.task, child });
+                child
+            })
+            .collect();
+        team::fork(n, &|t| {
+            let ctx = KernelCtx {
+                rt: self.rt.clone(),
+                tools: self.tools.clone(),
+                device: self.device,
+                task: children[t],
+                env: self.env.clone(),
+                team_size: self.team_size,
+            };
+            body(&ctx, t);
+            ctx.rt.emit_sync(SyncEvent::TaskEnd { task: children[t] });
         });
         for child in children {
             self.rt.emit_sync(SyncEvent::TaskJoin { waiter: self.task, joined: child });

@@ -361,6 +361,21 @@ fn par_reduce_computes_dot_product() {
 }
 
 #[test]
+fn par_reduce_folds_partials_in_member_order() {
+    let rt = Runtime::new(Config::default().team_size(4));
+    let out = Arc::new(Mutex::new(Vec::new()));
+    let o = out.clone();
+    rt.target().run(move |k| {
+        let concat = |mut a: Vec<usize>, b: Vec<usize>| {
+            a.extend(b);
+            a
+        };
+        *o.lock() = k.par_reduce(0..8, Vec::new(), |_, i| vec![i], concat);
+    });
+    assert_eq!(*out.lock(), (0..8).collect::<Vec<_>>());
+}
+
+#[test]
 fn free_buffer_notifies_tools() {
     let (rt, _rec) = rt_with_recorder(Config::default());
     let a = rt.alloc_with::<i64>("a", 4, |_| 0);

@@ -103,6 +103,17 @@ mod tests {
     }
 
     #[test]
+    fn team_4_reductions_repeat_bit_for_bit() {
+        for name in ["pcg", "pep"] {
+            let w = by_name(name).expect("known workload");
+            let bits: Vec<u64> = (0..10)
+                .map(|_| (w.run)(&Runtime::new(Config::default().team_size(4)), Preset::Test).to_bits())
+                .collect();
+            assert!(bits.iter().all(|b| *b == bits[0]), "{name}: {bits:x?}");
+        }
+    }
+
+    #[test]
     fn all_run_and_produce_finite_checksums() {
         for w in workloads() {
             let rt = Runtime::new(Config::default().team_size(2));
